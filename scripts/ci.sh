@@ -2,7 +2,7 @@
 # CI entry point: configure, build, and run the tier-1 test suite, with
 # -Werror applied to the files this PR introduced (TSUNAMI_WERROR).
 #
-# Ten passes:
+# Eleven passes:
 #  1. the default build (SIMD tiers compiled in, runtime-dispatched; column
 #     blocks FOR + bit-width encoded);
 #  2. a -DTSUNAMI_DISABLE_SIMD=ON build that pins the portable scalar
@@ -18,7 +18,8 @@
 #     lock-and-deque code and must stay race-clean, not just correct. Built
 #     with -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks
 #     (thrown chunks, flipped checksums, injected stalls) run *under* TSan:
-#     the error paths must be as race-clean as the happy path;
+#     the error paths must be as race-clean as the happy path (wal_test
+#     rides here too for the ingest.fold_window durable regression);
 #  6. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
@@ -46,7 +47,11 @@
 #     over all four filesystem sites, and the scrubber's find-before-touch
 #     repair) plus the `query_service --soak --pressure` soak, which runs
 #     memory budgets, WAL-disk budgets, disk-full latch/re-arm, and
-#     background scrubbing against racing writers.
+#     background scrubbing against racing writers;
+# 11. a repeat pass: the whole suite on a fault-injection build, run 20
+#     times in a row at twice the core count by scripts/stress_ctest.sh,
+#     stopping at the first red run — an interleaving that fails one run in
+#     ten is a defect, and a single green run cannot show it is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,9 +82,9 @@ TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j"$(nproc)" --target \
-  task_scheduler_test query_service_test exec_test ingest_test
+  task_scheduler_test query_service_test exec_test ingest_test wal_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test'
+  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test|wal_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault
@@ -154,3 +159,9 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R wal_test
 cmake --build build-asan -j"$(nproc)" --target resource_test query_service
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R resource_test
 ./build-asan/query_service --soak --pressure
+
+# Eleventh pass: repeat the full suite on a fault-injection build. N = 20
+# consecutive green runs of ctest -j$(2*nproc); the first red run fails CI.
+cmake -B build-fi -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_FAULT_INJECTION=ON
+cmake --build build-fi -j"$(nproc)"
+scripts/stress_ctest.sh 20 build-fi

@@ -6,8 +6,10 @@
 // reader ("io.short_read"), the network front end's socket paths
 // ("net.accept_fail", "net.short_write", "net.reset", "net.partial_frame"),
 // the ingest store's compaction/publish paths ("ingest.compact_throw",
-// "ingest.swap_delay"), the durability layer ("wal.torn_write" — the
-// group commit writes only a prefix, param = bytes kept; "wal.fsync_fail" —
+// "ingest.swap_delay", "ingest.fold_window" — a fold parks after its
+// snapshot capture until param more chunk rolls land), the durability
+// layer ("wal.torn_write" — the group commit writes only a prefix, param =
+// bytes kept; "wal.fsync_fail" —
 // fsync reports failure and the log fails closed; and
 // "durability.checkpoint_throw" — the fold checkpoint aborts, the WAL
 // retains everything), and the resource-pressure layer ("fs.enospc" — a

@@ -67,23 +67,15 @@ class TsunamiIndex : public MultiDimIndex {
     double sort_seconds = 0.0;      // Data reorganization.
   };
 
-  TsunamiIndex(const Dataset& data, const Workload& workload)
-      : TsunamiIndex(data, workload, TsunamiOptions()) {}
   TsunamiIndex(const Dataset& data, const Workload& workload,
-               const TsunamiOptions& options);
+               const TsunamiOptions& options = TsunamiOptions());
 
-  /// Incremental re-optimization (§8): rebuilds for `new_workload` while
-  /// *reusing* the previous Grid Tree and, for regions whose workload
+  /// Incremental re-optimization (§8), the ingest compactor's fold:
+  /// rebuilds `previous`'s rows plus `extra_rows` (the delta chunks being
+  /// folded; empty for a pure workload reorganization) for `new_workload`
+  /// while *reusing* the previous Grid Tree and, for regions whose workload
   /// barely changed, the previous Augmented Grid plans — only regions that
-  /// saw significant shift pay the optimization cost again. Folds
-  /// `previous`'s delta buffer into the rebuilt index.
-  TsunamiIndex(const TsunamiIndex& previous, const Workload& new_workload,
-               const TsunamiOptions& options);
-
-  /// Incremental re-optimization that additionally folds `extra_rows` in
-  /// (the ingest compactor's path: `previous` is an immutable published
-  /// index whose delta buffer is empty, and the rows to merge live in
-  /// external delta chunks). Same tree/plan reuse as the constructor above.
+  /// saw significant shift pay the optimization cost again.
   TsunamiIndex(const TsunamiIndex& previous, const Dataset& extra_rows,
                const Workload& new_workload, const TsunamiOptions& options);
 
@@ -93,11 +85,6 @@ class TsunamiIndex : public MultiDimIndex {
   /// Plans every intersected region's RangeTasks up front (the batch path's
   /// planning half). The returned plan scans through ExecutePlan.
   QueryPlan Prepare(const Query& query) const override;
-
-  /// Plan epilogue: the delta buffer's contribution (§8 insertions), which
-  /// every executor of a Tsunami plan — base ExecutePlan, QueryService's
-  /// chunked scheduler jobs — adds after the planned range scans.
-  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
 
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
@@ -110,30 +97,15 @@ class TsunamiIndex : public MultiDimIndex {
   /// partition counts, cells, and outlier-buffer size.
   std::string Describe(const std::vector<std::string>& dim_names = {}) const;
 
-  // --- Insertions via a delta buffer (§8 "Data and Workload Shift") ---
-  // Tsunami is read-optimized; inserts append to an unsorted delta buffer
-  // that every query scans, and are periodically folded into a rebuilt
-  // index (the delta-index scheme of [39] the paper proposes). The buffer
-  // is columnar (one append-only vector per dimension), so delta execution
-  // runs the same SimdOps compare+compress passes as the clustered store
-  // instead of a row-major row-at-a-time loop.
-
-  /// Appends a row (one value per dimension) to the delta buffer.
-  void Insert(const std::vector<Value>& row);
-
-  /// Rows currently buffered.
-  int64_t delta_size() const { return delta_rows_; }
-
-  /// The full logical table (indexed rows + delta buffer) as a row-major
-  /// dataset; rebuild via `TsunamiIndex(index.MaterializeData(), ...)` to
-  /// merge the buffer.
+  /// The indexed rows as a row-major dataset (physical order); the fold
+  /// constructor appends the folded rows to it and rebuilds.
   Dataset MaterializeData() const;
 
   /// Re-materializes quarantined (checksum-failed) encoded blocks whose
-  /// rows all came from the most recent incremental rebuild's delta fold,
-  /// using the raw values retained from that fold — corruption confined to
-  /// freshly folded blocks heals in place instead of degrading every query
-  /// that touches them. Returns the number of blocks repaired; blocks with
+  /// rows all came from the most recent fold's `extra_rows`, using the raw
+  /// values retained from that fold — corruption confined to freshly
+  /// folded blocks heals in place instead of degrading every query that
+  /// touches them. Returns the number of blocks repaired; blocks with
   /// any pre-fold row (and everything on an index without a fold, or
   /// loaded from a snapshot — the backup is not persisted) are left
   /// quarantined for a full rebuild to clear.
@@ -150,7 +122,7 @@ class TsunamiIndex : public MultiDimIndex {
 
   // --- Persistence (§8 "Persistence") ---
   // A snapshot holds the clustered column store, the Grid Tree, every
-  // region's Augmented Grid and plan, the delta buffer, and build stats.
+  // region's Augmented Grid and plan, and build stats.
   // Loading re-attaches grids to the store and serves queries immediately,
   // without re-running optimization or re-sorting data.
 
@@ -159,7 +131,9 @@ class TsunamiIndex : public MultiDimIndex {
                   std::string* error = nullptr) const;
 
   /// Reopens a snapshot. Returns nullptr (with `error` set) on missing
-  /// file, version/kind mismatch, checksum failure, or corrupt payload.
+  /// file, version/kind mismatch, checksum failure, or corrupt payload —
+  /// and on a non-empty retired delta-buffer slot (error "unsupported
+  /// snapshot: delta buffer rows"; see kTsunamiFormatVersion).
   static std::unique_ptr<TsunamiIndex> LoadFromFile(
       const std::string& path, std::string* error = nullptr);
 
@@ -179,30 +153,21 @@ class TsunamiIndex : public MultiDimIndex {
   };
 
   // Shared implementation of the two constructors. `previous` != nullptr
-  // enables tree + plan reuse.
+  // enables tree + plan reuse; rows past previous->store_.size() in `data`
+  // are the fold's extra rows.
   void BuildIndex(const Dataset& data, const Workload& workload,
                   const TsunamiOptions& options,
                   const TsunamiIndex* previous);
 
-  // One region's contribution to a query (grid execution or raw scan).
-  void ExecuteRegion(int region, const Query& query,
-                     QueryResult* result) const;
   // Plans one region's RangeTasks (grid runs or the raw region range)
   // without scanning; counts visited ranges into counters->cell_ranges.
   void PlanRegion(int region, const Query& query,
                   std::vector<RangeTask>* tasks, QueryResult* counters) const;
-  // The delta buffer's contribution (always scanned, §8 insertions):
-  // chunked compare+compress through the auto-dispatched SimdOps, bit-
-  // identical to the old row-at-a-time loop.
-  void ExecuteDelta(const Query& query, QueryResult* result) const;
 
   std::string name_;
   bool use_grid_tree_ = true;
-  // Columnar insert buffer, scanned by every query; one vector per dim.
-  std::vector<std::vector<Value>> delta_cols_;
-  int64_t delta_rows_ = 0;
-  /// Raw values of the rows folded out of the delta buffer by the most
-  /// recent incremental rebuild, keyed by their physical positions in the
+  /// Raw values of the extra rows folded in by the most recent
+  /// incremental rebuild, keyed by their physical positions in the
   /// clustered store (ascending). The redundancy RepairQuarantinedFromDelta
   /// trades for: a corrupt freshly-folded block can be re-encoded from
   /// here. In-memory only — snapshots do not carry it.

@@ -61,9 +61,9 @@ class DeltaChunk {
     return encoded_.load(std::memory_order_acquire) != nullptr;
   }
 
-  // Scans the rows committed at call time and folds matches into `result`
-  // with the same counter semantics as the store's delta epilogue: one
-  // cell_range, `scanned` charged for every committed row.
+  // Scans the rows committed at call time and folds matches into `result`:
+  // one cell_range, `scanned` charged for every committed row. This is the
+  // store's only delta scan (every insert lands in a chunk).
   void Scan(const Query& query, QueryResult* result,
             const ScanOptions& options = {}) const;
 
@@ -76,6 +76,9 @@ class DeltaChunk {
   int64_t MemoryBytes() const;
 
  private:
+  // Columnar compare+compress over the raw rows through the auto-dispatched
+  // SimdOps, kScanBlockRows at a time; bit-identical to a row-at-a-time
+  // loop (sums wrap mod 2^64, min/max are associative).
   void ScanRaw(int64_t rows, const Query& query, QueryResult* result) const;
 
   const int dims_;

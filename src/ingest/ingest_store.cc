@@ -1,7 +1,10 @@
 #include "src/ingest/ingest_store.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -28,6 +31,29 @@ void MaybeDelaySwap([[maybe_unused]] uint64_t version) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(us > 0 ? us : 1000));
   }
+}
+
+// `ingest.fold_window`: park a fold between its snapshot capture and its
+// open-chunk read until `param` (default 1) more chunk rolls land, so tests
+// cause rolls in that window instead of racing for them. The roll count is
+// read before the site fires; a wait past 30 s aborts rather than hangs.
+void MaybeParkInFoldWindow(
+    [[maybe_unused]] const std::atomic<int64_t>& rolls) {
+#if defined(TSUNAMI_FAULT_INJECTION)
+  const int64_t from = rolls.load(std::memory_order_acquire);
+  if (!TSUNAMI_FAULT_FIRES("ingest.fold_window", from)) return;
+  const int64_t want =
+      from + std::max<int64_t>(fault::Param("ingest.fold_window"), 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rolls.load(std::memory_order_acquire) < want) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "ingest.fold_window: chunk rolls never came\n");
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+#endif
 }
 
 }  // namespace
@@ -314,6 +340,7 @@ int64_t IngestStore::RetiredChunks() const {
 uint64_t IngestStore::CompactOnce(const Workload* reorg_workload) {
   std::lock_guard<std::mutex> heavy(compact_mu_);
   auto base = snapshots_.Current();
+  MaybeParkInFoldWindow(chunk_rolls_);
   // Retired chunks (everything but the open tail) have final committed
   // counts — only the open chunk ever receives appends. Capture the open
   // id *after* `base`: ids are monotone, so every base chunk below it is
@@ -354,10 +381,12 @@ uint64_t IngestStore::CompactOnce(const Workload* reorg_workload) {
       std::lock_guard<std::mutex> pub(publish_mu_);
       auto cur = snapshots_.Current();
       // The chunk list may have grown (rolls) since `base`; keep everything
-      // we did not fold.
+      // we did not fold — every chunk past the last folded id, including
+      // chunks rolled between the `base` capture and the open-id read.
+      const uint64_t last_folded = fold.empty() ? 0 : fold.back()->id();
       std::vector<std::shared_ptr<const DeltaChunk>> remaining;
       for (const auto& chunk : cur->chunks()) {
-        if (chunk->id() >= open_id) remaining.push_back(chunk);
+        if (chunk->id() > last_folded) remaining.push_back(chunk);
       }
       auto next = std::make_shared<const ColumnStoreSnapshot>(
           cur->version() + 1, merged, std::move(remaining));
@@ -432,7 +461,11 @@ int64_t IngestStore::RepairQuarantined() {
 
 IngestStore::Stats IngestStore::stats() const {
   Stats s;
-  s.rows_ingested = rows_ingested_.load(std::memory_order_relaxed);
+  {
+    // A row is committed and counted inside one writer critical section.
+    std::lock_guard<std::mutex> lock(write_mu_);
+    s.rows_ingested = rows_ingested_.load(std::memory_order_relaxed);
+  }
   s.chunk_rolls = chunk_rolls_.load(std::memory_order_relaxed);
   s.chunks_sealed = chunks_sealed_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);

@@ -12,7 +12,7 @@
 //     committed counter — no lock on the read path.
 //   * The background Compactor (or CompactNow) seals retired chunks with
 //     the block codecs, folds them into a rebuilt sorted index (the §8
-//     incremental constructor — built entirely off to the side), and
+//     fold constructor — built entirely off to the side), and
 //     publishes the result. A workload reorganization (RequestReorganize,
 //     or the embedded WorkloadMonitor firing) is the same fold with a new
 //     target workload: the grid rebuild rides the identical swap.
@@ -30,7 +30,9 @@
 // aborts a compaction after the fold set is chosen — the build fails closed
 // and the old snapshot keeps serving; `ingest.swap_delay` stalls inside the
 // publish critical section (param = microseconds, default 1000) to widen
-// the roll/compact race window for the TSan soaks.
+// the roll/compact race window for the TSan soaks; `ingest.fold_window`
+// parks a fold between its snapshot capture and its open-chunk read until
+// `param` more chunk rolls land, so tests place rolls in that window.
 #pragma once
 
 #include <atomic>
@@ -190,6 +192,9 @@ class IngestStore : public MultiDimIndex {
   }
   uint64_t version() const { return snapshots_.version(); }
   int64_t rows() const { return snapshots_.Current()->TotalRows(); }
+  /// Reads `rows_ingested` under the writer mutex (exactly the rows visible
+  /// then). Chunk rolls notify publish listeners under that mutex, so a
+  /// listener must not call this.
   Stats stats() const;
   EpochManager& epochs() const { return snapshots_.epochs(); }
   /// Registers a callback invoked (outside all store locks) with the new

@@ -31,6 +31,9 @@ uint64_t XxHash64(std::string_view data, uint64_t seed = 0);
 /// touch. Version-2 files are still read (checksums recomputed from the
 /// payload, which the frame CRC already validated); version-1 files are
 /// rejected cleanly.
+/// The Tsunami delta-buffer slot is retired within v3 (inserts live in
+/// ingest::DeltaChunk): writers emit it empty, and LoadFromFile skips an
+/// empty slot but refuses one holding rows.
 inline constexpr uint32_t kTsunamiFormatVersion = 3;
 
 /// Appends primitive values to an in-memory buffer in little-endian order.

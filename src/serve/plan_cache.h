@@ -31,8 +31,9 @@
 // every publish; wiring IngestStore::AddPublishListener to InvalidateIndex
 // additionally drops stale entries eagerly, bounding how long a dead
 // version stays pinned by idle cache entries. Delta inserts do NOT
-// invalidate — delta rows are a FinishPlan epilogue read at execution time,
-// not part of the plan (and a chunk roll bumps the version anyway).
+// invalidate — delta rows live only in ingest::DeltaChunks, which the
+// snapshot's FinishPlan epilogue scans at execution time; they are not part
+// of the plan (and a chunk roll bumps the version anyway).
 //
 // Thread-safe; one mutex. Lookups are a short critical section and misses
 // prepare *outside* the lock, so concurrent submitters never serialize

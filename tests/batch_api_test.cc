@@ -35,6 +35,7 @@
 #include "src/query/engine.h"
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -330,18 +331,20 @@ TEST_F(BatchApiTest, BatchStatsMatchPerQueryCounters) {
   EXPECT_GE(ctx.stats.seconds, 0.0);
 }
 
-TEST_F(BatchApiTest, DeltaBufferCoveredByBatchPath) {
+TEST_F(BatchApiTest, DeltaChunksCoveredByBatchPath) {
   TsunamiOptions options;
   options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({100, 150, 500});
-  index.Insert({35000, 34800, 200});
+  Dataset all_rows;
+  std::unique_ptr<ingest::IngestStore> store =
+      StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
+  FullScanIndex reference(all_rows);
   ThreadPool pool(2);
   ExecContext ctx(&pool);
-  std::vector<QueryResult> batch = RunWorkload(index, workload_, ctx);
+  std::vector<QueryResult> batch = RunWorkload(*store, workload_, ctx);
   for (size_t i = 0; i < workload_.size(); ++i) {
-    ExpectBitIdentical(batch[i], index.Execute(workload_[i]),
+    ExpectBitIdentical(batch[i], store->Execute(workload_[i]),
                        "delta query " + std::to_string(i));
+    EXPECT_EQ(batch[i].agg, reference.Execute(workload_[i]).agg);
   }
 }
 

@@ -8,12 +8,14 @@
 #include <numeric>
 #include <vector>
 
+#include "src/baselines/full_scan.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
 #include "src/exec/task_scheduler.h"
 #include "src/exec/thread_pool.h"
 #include "src/flood/flood.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -181,20 +183,24 @@ TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
   }
 }
 
-TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaBuffer) {
+TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaChunks) {
   TsunamiOptions options;
   options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({100, 100, 100});
-  index.Insert({200, 250, 500});
+  Dataset all_rows;
+  std::unique_ptr<ingest::IngestStore> store =
+      StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
+  FullScanIndex reference(all_rows);
   ThreadPool pool(2);
   ExecContext ctx(&pool);
-  Query q;
-  q.filters = {Predicate{0, 0, 50000}};
-  QueryResult serial = index.Execute(q);
-  QueryResult parallel = index.ExecutePlan(index.Prepare(q), ctx);
-  EXPECT_EQ(parallel.agg, serial.agg);
-  EXPECT_EQ(parallel.matched, serial.matched);
+  for (const Query& q : workload_) {
+    QueryResult serial = store->Execute(q);
+    QueryResult parallel = store->ExecutePlan(store->Prepare(q), ctx);
+    EXPECT_EQ(parallel.agg, serial.agg);
+    EXPECT_EQ(parallel.matched, serial.matched);
+    EXPECT_EQ(parallel.scanned, serial.scanned);
+    EXPECT_EQ(parallel.cell_ranges, serial.cell_ranges);
+    EXPECT_EQ(parallel.agg, reference.Execute(q).agg);
+  }
 }
 
 TEST_F(ParallelRunTest, ParallelResultsEqualSerial) {

@@ -5,8 +5,8 @@
 // a writers-vs-readers-vs-compaction stress run whose invariants (no torn
 // reads, monotone visibility, quiesced-replay bit identity) are what the
 // TSan CI pass checks for races. Fault-injection builds additionally drive
-// the ingest.compact_throw fail-closed path and the ingest.swap_delay
-// publish stall.
+// the ingest.compact_throw fail-closed path, the ingest.swap_delay
+// publish stall, and the ingest.fold_window roll-inside-a-fold regression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,6 +191,73 @@ TEST(DeltaChunkTest, SealedScanBitIdenticalToRaw) {
     EXPECT_EQ(r.extra, raw[i].extra) << "query " << i;
     EXPECT_EQ(r.scanned, raw[i].scanned) << "query " << i;
     EXPECT_EQ(r.cell_ranges, raw[i].cell_ranges) << "query " << i;
+  }
+}
+
+// The raw chunk scan (columnar SimdOps compare+compress) must be
+// bit-identical to a row-major row-at-a-time loop — every QueryResult
+// field, every aggregate kind, multi-aggregate lists and extreme values
+// included. The reference below *is* that loop.
+TEST(DeltaChunkTest, RawScanBitIdenticalToRowMajorLoop) {
+  Rng rng(408);
+  // Enough rows to span several kScanBlockRows blocks, plus extremes.
+  const int64_t rows = 2600;
+  DeltaChunk chunk(/*dims=*/3, rows, /*id=*/1);
+  std::vector<std::vector<Value>> inserted;
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Value> row = {rng.UniformValue(-1000000, 1000000),
+                              rng.UniformValue(-1000000, 1000000),
+                              rng.UniformValue(-1000000, 1000000)};
+    if (i % 97 == 0) row[1] = kValueMax - i;
+    if (i % 89 == 0) row[2] = kValueMin + i;
+    inserted.push_back(row);
+    ASSERT_TRUE(chunk.Append(row.data()));
+  }
+  const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum, AggKind::kMin,
+                           AggKind::kMax, AggKind::kAvg};
+  for (int trial = 0; trial < 120; ++trial) {
+    Query q;
+    q.agg = kAggs[trial % 5];
+    q.agg_dim = trial % 3;
+    if (trial % 4 == 0) {
+      q.SetAggregates({{q.agg, q.agg_dim},
+                       {AggKind::kSum, (trial + 1) % 3},
+                       {AggKind::kMax, (trial + 2) % 3}});
+    }
+    int num_filters = trial % 3;  // 0, 1, or 2 (empty filters included).
+    for (int f = 0; f < num_filters; ++f) {
+      Value lo = rng.UniformValue(-1200000, 1200000);
+      q.filters.push_back(
+          Predicate{static_cast<int>(rng.NextBelow(3)), lo,
+                    lo + rng.UniformValue(0, 800000)});
+    }
+    QueryResult want = InitResult(q);
+    ++want.cell_ranges;
+    want.scanned += rows;
+    for (const std::vector<Value>& row : inserted) {
+      bool ok = true;
+      for (const Predicate& p : q.filters) {
+        if (!p.Matches(row[p.dim])) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) continue;
+      ++want.matched;
+      for (int a = 0; a < q.num_aggs(); ++a) {
+        const AggregateSpec spec = q.agg_spec(a);
+        AccumulateAgg(spec.op,
+                      spec.op == AggKind::kCount ? 0 : row[spec.column],
+                      want.agg_accumulator(a));
+      }
+    }
+    QueryResult got = InitResult(q);
+    chunk.Scan(q, &got);
+    EXPECT_EQ(got.agg, want.agg) << "trial " << trial;
+    EXPECT_EQ(got.scanned, want.scanned) << "trial " << trial;
+    EXPECT_EQ(got.matched, want.matched) << "trial " << trial;
+    EXPECT_EQ(got.cell_ranges, want.cell_ranges) << "trial " << trial;
+    EXPECT_EQ(got.extra, want.extra) << "trial " << trial;
   }
 }
 
@@ -605,9 +672,9 @@ TEST(IngestConcurrencyTest, WritersReadersAndReorgRaceWithoutTornReads) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&store, &count_all, &torn, kBaseRows] {
       for (int i = 0; i < kReadsPerReader; ++i) {
-        // rows_ingested is incremented after the commit store, so any row
-        // counted "ingested" before the scan starts is already visible in
-        // the snapshot the scan pins.
+        // stats() reads rows_ingested under the writer mutex, so it is
+        // exactly the committed row count: every row counted before the scan
+        // is visible to it, and every row it sees is counted after it.
         const int64_t low = kBaseRows + store.stats().rows_ingested;
         const QueryResult got = store.Execute(count_all);
         const int64_t high = kBaseRows + store.stats().rows_ingested;
@@ -720,6 +787,63 @@ TEST_F(IngestFaultTest, SwapDelayWidensPublishWindowWithoutCorruption) {
   store.CompactNow();
   reader.join();
   EXPECT_GT(fault::FireCount("ingest.swap_delay"), 0);
+  CheckAgainstReference(store, expect, fx.CheckQueries());
+}
+
+// Regression: a fold that captured its base snapshot and then saw chunks
+// roll before it read the open chunk id used to keep only chunks at or past
+// that id, silently dropping every chunk rolled in between. The
+// ingest.fold_window site parks the fold in exactly that window until two
+// non-empty chunks have rolled, so the interleaving is caused, not timed.
+TEST_F(IngestFaultTest, RollsInsideFoldWindowAreKept) {
+  IngestFixture fx(2000);
+  IngestOptions options = SmallIngestOptions();
+  options.chunk_capacity = 64;
+  IngestStore store(fx.data, fx.workload, options);
+
+  Dataset expect = fx.data;
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      std::vector<Value> row = fx.RandomRow();
+      store.Insert(row);
+      expect.AppendRow(row);
+    }
+  };
+  insert(100);  // One full chunk rolled, 36 rows in the open one.
+
+  fault::FaultSpec spec;
+  spec.max_fires = 1;
+  spec.param = 2;  // Rolls to wait for inside the window.
+  fault::Arm("ingest.fold_window", spec);
+  std::thread fold([&store] { store.CompactNow(); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fault::FireCount("ingest.fold_window") == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // Two non-empty chunks roll while the fold is parked: the base's open
+  // chunk (folded) and the next one (absent from the base, must be kept).
+  insert(20);
+  store.ForceRoll();
+  insert(20);
+  store.ForceRoll();
+  fold.join();
+  insert(10);
+
+  const IngestStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.compactions, 1);
+  EXPECT_EQ(stats.rows_ingested, 150);
+  EXPECT_EQ(stats.store_rows, 2000 + 120);  // The base's two chunks.
+  EXPECT_EQ(stats.store_rows + stats.delta_rows,
+            static_cast<int64_t>(expect.size()));
+  CheckAgainstReference(store, expect, fx.CheckQueries());
+
+  // The kept chunks fold normally on the next pass.
+  store.ForceRoll();
+  store.CompactNow();
+  EXPECT_EQ(store.stats().delta_rows, 0);
+  EXPECT_EQ(store.stats().store_rows, static_cast<int64_t>(expect.size()));
   CheckAgainstReference(store, expect, fx.CheckQueries());
 }
 

@@ -635,18 +635,53 @@ TEST_F(SnapshotTest, LoadedIndexMatchesFullScanOnUnseenQueries) {
   }
 }
 
-TEST_F(SnapshotTest, DeltaBufferSurvivesSnapshot) {
-  index_->Insert({50, 100, 250});
-  index_->Insert({51, 102, 251});
+// The format-v3 delta-buffer slot is retired: writers leave it empty and a
+// snapshot carrying rows there is refused with a stable error, never loaded
+// with the rows silently dropped. The test splices a hand-written slot in
+// front of a real snapshot's tree/store/regions payload.
+TEST_F(SnapshotTest, NonEmptyRetiredDeltaSlotRejected) {
   std::string error;
   ASSERT_TRUE(index_->SaveToFile(path_, &error)) << error;
+  std::string payload;
+  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload,
+                             &error));
+  // Locate the end of the (empty) slot the writer emitted.
+  BinaryReader reader(payload);
+  const std::string name = reader.GetString();
+  const bool use_grid_tree = reader.GetBool();
+  EXPECT_EQ(reader.GetVarI64(), 0);  // Slot dims.
+  EXPECT_EQ(reader.GetVarI64(), 0);  // Slot rows.
+  ASSERT_TRUE(reader.ok());
+  const std::string rest = payload.substr(payload.size() - reader.remaining());
+
+  auto write_with_slot = [&](int64_t rows) {
+    BinaryWriter writer;
+    writer.PutString(name);
+    writer.PutBool(use_grid_tree);
+    writer.PutVarI64(3);  // One column per dim, as older writers laid out.
+    writer.PutVarI64(rows);
+    for (int d = 0; d < 3; ++d) {
+      writer.PutValueVec(std::vector<Value>(rows, 50 + d));
+    }
+    std::string bytes = writer.Release() + rest;
+    std::string werr;
+    ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, bytes, &werr))
+        << werr;
+  };
+
+  // The older writers' empty slot (one empty column per dim) still loads.
+  write_with_slot(0);
   std::unique_ptr<TsunamiIndex> loaded =
       TsunamiIndex::LoadFromFile(path_, &error);
   ASSERT_NE(loaded, nullptr) << error;
-  EXPECT_EQ(loaded->delta_size(), 2);
-  Query q;
-  q.filters = {Predicate{0, 50, 51}, Predicate{2, 250, 251}};
-  EXPECT_EQ(loaded->Execute(q).agg, index_->Execute(q).agg);
+  for (const Query& q : workload_) {
+    EXPECT_EQ(loaded->Execute(q).agg, index_->Execute(q).agg);
+  }
+
+  write_with_slot(2);
+  error.clear();
+  EXPECT_EQ(TsunamiIndex::LoadFromFile(path_, &error), nullptr);
+  EXPECT_EQ(error, "unsupported snapshot: delta buffer rows");
 }
 
 TEST_F(SnapshotTest, CorruptPayloadRejected) {

@@ -24,6 +24,7 @@
 #include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/serve/query_service.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -560,11 +561,15 @@ TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
 
 TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
   ServiceOptions service_options;
+  service_options.threads = 1;
   service_options.max_queued_queries = 1;
   service_options.low_priority_watermark = 1.0;
   QueryService service(index_.get(), service_options);
   ServerHarness harness(&service);
   TsunamiClient client(harness.ClientFor());
+  // With the only worker jammed, the first query occupies the one admission
+  // slot until Release(): every later query in the burst overflows.
+  WorkerJam jam(&service.scheduler(), 1);
 
   const int kBurst = 16;
   std::vector<uint64_t> ids;
@@ -573,20 +578,17 @@ TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
     ASSERT_NE(id, 0u);
     ids.push_back(id);
   }
-  int completed = 0, rejected = 0;
-  for (uint64_t id : ids) {
+  for (int i = 1; i < kBurst; ++i) {
     ClientResult r;
-    ASSERT_TRUE(client.Await(id, &r));
-    if (r.ok()) {
-      ++completed;
-    } else {
-      ASSERT_EQ(r.error, WireError::kQueueFull) << net::ToString(r.error);
-      EXPECT_TRUE(net::IsRetryable(r.error));
-      ++rejected;
-    }
+    ASSERT_TRUE(client.Await(ids[i], &r));
+    ASSERT_EQ(r.error, WireError::kQueueFull) << net::ToString(r.error);
+    EXPECT_TRUE(net::IsRetryable(r.error));
   }
-  EXPECT_EQ(completed + rejected, kBurst);
-  EXPECT_GE(rejected, 1) << "burst never overflowed the admission queue";
+  jam.Release();
+  ClientResult first;
+  ASSERT_TRUE(client.Await(ids[0], &first));
+  EXPECT_TRUE(first.ok()) << net::ToString(first.error);
+  EXPECT_EQ(service.stats().rejected_queue_full, kBurst - 1);
   // Run()'s bounded backoff retries recover once the queue clears.
   const ClientResult retried = client.Run(Region());
   EXPECT_TRUE(retried.ok()) << net::ToString(retried.error);
@@ -596,12 +598,16 @@ TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
 TEST_F(NetTest, DeadlinePropagatesToServerSideTimeout) {
   QueryService service(index_.get());
   ServerHarness harness(&service);
-  ClientOptions copts = harness.ClientFor();
-  copts.max_retries = 0;  // A timed-out query must not be retried.
-  TsunamiClient client(copts);
+  TsunamiClient client(harness.ClientFor());
 
-  const ClientResult r = client.Run(Region(), /*priority=*/0,
-                                    /*deadline_seconds=*/1e-6);
+  // Submit, not Run: Run checks the remaining budget client-side first, and
+  // on a slow (sanitized) build 1 us is spent before the frame is sent —
+  // the server, whose timeout this test is about, would never see it.
+  const uint64_t id =
+      client.Submit(Region(), /*priority=*/0, /*deadline_seconds=*/1e-6);
+  ASSERT_NE(id, 0u);
+  ClientResult r;
+  ASSERT_TRUE(client.Await(id, &r));
   ASSERT_TRUE(r.transport_ok);
   ASSERT_EQ(r.error, WireError::kNone) << net::ToString(r.error);
   EXPECT_EQ(r.outcome, QueryOutcome::kTimedOut) << ToString(r.outcome);

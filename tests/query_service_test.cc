@@ -30,6 +30,7 @@
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
 #include "src/serve/query_service.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -186,19 +187,24 @@ TEST_F(QueryServiceTest, RouterPlansExecuteAgainstRoutedStore) {
   }
 }
 
-TEST_F(QueryServiceTest, TsunamiDeltaBufferReachesServicePath) {
+TEST_F(QueryServiceTest, IngestDeltaChunksReachServicePath) {
   TsunamiOptions options;
   options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({120, 160, 480});
-  index.Insert({36000, 35800, 220});
+  Dataset all_rows;
+  std::unique_ptr<ingest::IngestStore> store =
+      StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
+  FullScanIndex reference(all_rows);
   ServiceOptions service_options;
   service_options.threads = 2;
-  QueryService service(&index, service_options);
+  QueryService service(store.get(), service_options);
   Rng rng(94);
   Workload batch = SkewedBatch(rng, 8);
   for (const Query& q : batch) {
-    ExpectBitIdentical(service.Run(q), index.Execute(q), "delta query");
+    const QueryResult got = service.Run(q);
+    ExpectBitIdentical(got, store->Execute(q), "delta query");
+    const QueryResult want = reference.Execute(q);
+    EXPECT_EQ(got.agg, want.agg);
+    EXPECT_EQ(got.matched, want.matched);
   }
 }
 
@@ -536,33 +542,6 @@ TEST_F(QueryServiceTest, CompletedQueryIsNotCancelledByLateAwait) {
 }
 
 // --- Overload robustness: bounded admission, shedding, degradation -------
-
-/// Occupies every worker of `scheduler` until Release() — the deterministic
-/// way to keep submitted queries *queued* while a test inspects admission.
-class WorkerJam {
- public:
-  WorkerJam(TaskScheduler* scheduler, int workers) : scheduler_(scheduler) {
-    job_ = scheduler_->Submit(workers, [this](int64_t, int) {
-      started_.fetch_add(1, std::memory_order_relaxed);
-      while (!release_.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (started_.load(std::memory_order_relaxed) < workers) {
-      std::this_thread::yield();
-    }
-  }
-  void Release() {
-    release_.store(true, std::memory_order_release);
-    scheduler_->Wait(job_);
-  }
-
- private:
-  TaskScheduler* scheduler_;
-  TaskScheduler::JobRef job_;
-  std::atomic<int> started_{0};
-  std::atomic<bool> release_{false};
-};
 
 TEST_F(QueryServiceTest, BoundedAdmissionRejectsAndReservesHeadroom) {
   FloodIndex index(data_, workload_);

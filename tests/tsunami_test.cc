@@ -153,9 +153,9 @@ TEST(TsunamiIndexTest, EmptyWorkloadBuildsUnindexedRegions) {
 }
 
 TEST(TsunamiIndexTest, RepairsQuarantinedBlocksFromDeltaFold) {
-  // Initial table lives entirely in dim0 <= 10000; the inserted delta rows
-  // live far above, so after the incremental rebuild folds them in, the
-  // clustered store's tail blocks hold *only* delta-origin rows — exactly
+  // Initial table lives entirely in dim0 <= 10000; the folded extra rows
+  // live far above, so after the fold constructor merges them in, the
+  // clustered store's tail blocks hold *only* fold-origin rows — exactly
   // the blocks the fold backup can re-materialize if they go corrupt.
   Rng rng(53);
   Dataset data(2, {});
@@ -171,12 +171,13 @@ TEST(TsunamiIndexTest, RepairsQuarantinedBlocksFromDeltaFold) {
     workload.push_back(q);
   }
   TsunamiIndex initial(data, workload, SmallOptions());
+  Dataset extra(2, {});
   for (int i = 0; i < 3000; ++i) {
-    initial.Insert(
+    extra.AppendRow(
         {rng.UniformValue(100000, 110000), rng.UniformValue(0, 500)});
   }
-  TsunamiIndex rebuilt(initial, workload, SmallOptions());
-  ASSERT_EQ(rebuilt.delta_size(), 0);  // Fold consumed the buffer.
+  TsunamiIndex rebuilt(initial, extra, workload, SmallOptions());
+  ASSERT_EQ(rebuilt.store().size(), 9000);  // The fold merged every row.
 
   Query over_new;
   over_new.filters.push_back(Predicate{0, 100000, 110000});

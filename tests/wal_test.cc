@@ -7,7 +7,8 @@
 // Fault-injection builds additionally drive wal.fsync_fail and wal.torn_write
 // (the log must fail closed: nothing acked that is not on stable storage) and
 // durability.checkpoint_throw (the WAL must retain everything and the next
-// fold must retry).
+// fold must retry), and ingest.fold_window (chunks rolled inside a fold
+// recover exactly once).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -780,6 +781,70 @@ TEST_F(WalFaultTest, CheckpointThrowRetainsWalAndNextFoldRetries) {
       DurableIngestStore::Open(fx.data, fx.workload, fx.Options(dir), &error);
   ASSERT_NE(durable, nullptr) << error;
   EXPECT_EQ(durable->next_ordinal(), 160);
+  CheckAgainstReference(durable->store(), expect, fx.CheckQueries());
+}
+
+// Regression, durable side: chunks rolled while a fold sits between its
+// snapshot capture and its open-chunk read (forced by ingest.fold_window)
+// used to vanish from memory, and the next fold's cumulative row count then
+// advanced the replay cursor over ordinals the checkpoint never held —
+// recovery lost some acked rows and applied others twice. Every acked row
+// must come back exactly once.
+TEST_F(WalFaultTest, RollsInsideFoldWindowRecoverExactlyOnce) {
+  DurableFixture fx(2000);
+  const std::string dir = TestDir("fi_fold_window");
+  Dataset expect = fx.data;
+  DurabilityOptions options = fx.Options(dir);
+  options.ingest.chunk_capacity = 64;
+
+  std::string error;
+  std::unique_ptr<DurableIngestStore> durable =
+      DurableIngestStore::Open(fx.data, fx.workload, options, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  auto insert = [&](int n) {
+    const std::vector<std::vector<Value>> batch = fx.RandomBatch(n);
+    ASSERT_TRUE(durable->InsertBatch(batch));
+    for (const std::vector<Value>& row : batch) expect.AppendRow(row);
+  };
+  insert(100);  // One full chunk rolled, 36 rows in the open one.
+
+  fault::FaultSpec spec;
+  spec.max_fires = 1;
+  spec.param = 2;
+  fault::Arm("ingest.fold_window", spec);
+  std::thread fold([&durable] { durable->store().CompactNow(); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fault::FireCount("ingest.fold_window") == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  insert(20);
+  durable->store().ForceRoll();
+  insert(20);
+  durable->store().ForceRoll();
+  fold.join();
+  insert(10);
+  // In memory: nothing dropped.
+  const Query all = RangeCount(0, 0, 200000);
+  EXPECT_EQ(durable->store().Execute(all).matched,
+            static_cast<int64_t>(expect.size()));
+  // A second fold checkpoints everything acked so far; a tail stays WAL-only.
+  ASSERT_TRUE(durable->CheckpointNow());
+  insert(15);
+  durable.reset();
+
+  durable = DurableIngestStore::Open(fx.data, fx.workload, options, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  const durability::RecoveryInfo& rec = durable->recovery();
+  EXPECT_TRUE(rec.recovered);
+  EXPECT_EQ(rec.replay_cursor, 150);
+  EXPECT_EQ(rec.replayed_rows, 15);
+  EXPECT_EQ(durable->next_ordinal(), 165);
+  // Recovered rows == acked rows, each exactly once (sums catch a row lost
+  // and another applied twice even when the counts happen to agree).
+  FullScanIndex reference(expect);
+  ExpectSameAnswer(durable->store().Execute(all), reference.Execute(all));
   CheckAgainstReference(durable->store(), expect, fx.CheckQueries());
 }
 
