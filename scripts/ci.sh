@@ -14,8 +14,10 @@
 #     TSUNAMI_FORCE_SCALAR, exercising the runtime-degraded dispatch path
 #     in the full-SIMD binary;
 #  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
-#     scheduler, query service, thread pool/runner) — the serving path is
-#     lock-and-deque code and must stay race-clean, not just correct. Built
+#     scheduler with nested help-while-waiting, query service, runner and
+#     region builds, and the batch API whose ExecuteBatch fans out through
+#     the scheduler) — the execution path is lock-and-deque code and must
+#     stay race-clean, not just correct. Built
 #     with -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks
 #     (thrown chunks, flipped checksums, injected stalls) run *under* TSan:
 #     the error paths must be as race-clean as the happy path (wal_test
@@ -23,7 +25,8 @@
 #  6. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
-#     scheduler must not scribble, leak-on-throw, or hit UB;
+#     scheduler must not scribble, leak-on-throw, or hit UB. UBSan is fatal
+#     (UBSAN_OPTIONS halt_on_error) here and in passes 7, 9 and 10;
 #  7. the network front end under the same ASan+UBSan+FI build:
 #     tsunami_serverd + net_test (which gates the wire-level NetFaultTest
 #     fault soaks on TSUNAMI_FAULT_INJECTION), a loopback daemon smoke via
@@ -81,15 +84,18 @@ TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
 # injection compiled in so the injected-fault soaks run under TSan.
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j"$(nproc)" --target \
-  task_scheduler_test query_service_test exec_test ingest_test wal_test
-ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test|wal_test'
+cmake --build build-tsan -j"$(nproc)" --target task_scheduler_test \
+  query_service_test exec_test batch_api_test ingest_test wal_test
+ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
+  'task_scheduler_test|query_service_test|exec_test|batch_api_test|ingest_test|wal_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault
 # injection compiled in. Scoped to the relevant suites: this is a 1-core CI
 # host and a full ASan ctest would double the wall time for no new signal.
+# Any UBSan report fails the run, here and in passes 7, 9 and 10 (the TSan
+# and plain builds in between ignore the setting).
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
   -DTSUNAMI_SANITIZE=address,undefined -DTSUNAMI_FAULT_INJECTION=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

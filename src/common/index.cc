@@ -1,7 +1,9 @@
 #include "src/common/index.h"
 
+#include <stdexcept>
+
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 
@@ -25,10 +27,10 @@ QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
 
 namespace {
 
-/// Shared batch loop: runs `one(i)` for every position, spread across the
-/// context's pool when it is multi-threaded (each item's scans inline on
-/// its worker — a per-worker context without the pool avoids nested
-/// ParallelFor deadlocks and oversubscription), serially otherwise.
+/// Shared batch loop: runs `one(i)` for every position, fanned out as one
+/// job on the context's scheduler when it has several workers (each item's
+/// scans inline on its worker — a per-item context without the scheduler
+/// avoids oversubscription), serially otherwise.
 /// Cancellation is checked before each item; skipped items get their
 /// identity result. Fills ctx.stats from the results.
 template <typename ExecuteOne, typename IdentityOf>
@@ -57,15 +59,21 @@ std::vector<QueryResult> BatchLoop(int64_t count, ExecContext& ctx,
     results[i] = std::move(result);
     executed.fetch_add(1, std::memory_order_relaxed);
   };
-  if (ctx.pool != nullptr && ctx.pool->num_threads() > 1 && count > 1) {
-    ctx.pool->ParallelFor(0, count, 1, [&](int64_t i) {
-      // Fork per item so the batch deadline keeps applying between range
-      // tasks inside the item's scans; drop the pool (no nested
-      // ParallelFor).
-      ExecContext inline_ctx = ctx.Fork();
-      inline_ctx.pool = nullptr;
-      run(i, inline_ctx);
-    });
+  TaskScheduler* scheduler = ctx.scheduler;
+  if (scheduler != nullptr && scheduler->num_threads() > 1 && count > 1) {
+    TaskScheduler::JobRef job =
+        scheduler->Submit(count, [&](int64_t i, int) {
+          // Fork per item so the batch deadline keeps applying between
+          // range tasks inside the item's scans; drop the scheduler (no
+          // nested fan-out).
+          ExecContext inline_ctx = ctx.Fork();
+          inline_ctx.scheduler = nullptr;
+          run(i, inline_ctx);
+        }, ctx.priority);
+    scheduler->Wait(job);
+    // An item that threw left its slot unfilled: fail the batch, as the
+    // serial loop does, rather than return a default result as an answer.
+    if (job->failed()) throw std::runtime_error("batch item failed");
   } else {
     for (int64_t i = 0; i < count; ++i) run(i, ctx);
   }

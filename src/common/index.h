@@ -6,9 +6,9 @@
 //  * the legacy per-query path — Execute(query) — one synchronous query;
 //  * the batch path — Prepare(query) -> QueryPlan, then
 //    ExecutePlan(plan, ctx) or ExecuteBatch(queries, ctx) — which amortizes
-//    planning, runs scans through the shared thread pool and forced SIMD
-//    tier carried by the ExecContext, and computes every aggregate of a
-//    multi-aggregate query in one pass.
+//    planning, runs scans through the work-stealing TaskScheduler and
+//    forced SIMD tier carried by the ExecContext, and computes every
+//    aggregate of a multi-aggregate query in one pass.
 // Both surfaces are bit-identical: ExecuteBatch over any permutation of a
 // workload returns exactly what per-query Execute returns.
 #ifndef TSUNAMI_COMMON_INDEX_H_
@@ -28,7 +28,6 @@
 namespace tsunami {
 
 class TaskScheduler;
-class ThreadPool;
 
 /// A prepared query: the bound query plus, when the index supports
 /// plan-then-scan execution, the physical row ranges to scan. Plans borrow
@@ -87,28 +86,23 @@ struct BatchStats {
 };
 
 /// Execution context for the batch path. Carries the resources a batch
-/// shares — the thread pool, scan options (kernel mode + forced SIMD tier)
-/// — plus cooperative cancellation (an external flag and/or a deadline,
-/// both checked between range tasks and between queries) and per-batch
-/// stats. Copyable: forwarding layers fork a context per sub-batch and
-/// merge stats back.
+/// shares — the task scheduler, scan options (kernel mode + forced SIMD
+/// tier) — plus cooperative cancellation (an external flag and/or a
+/// deadline, both checked between range tasks and between queries) and
+/// per-batch stats. Copyable: forwarding layers fork a context per
+/// sub-batch and merge stats back.
 class ExecContext {
  public:
   ExecContext() = default;
-  explicit ExecContext(ThreadPool* pool) : pool(pool) {}
-  ExecContext(ThreadPool* pool, const ScanOptions& scan)
-      : pool(pool), scan(scan) {}
+  explicit ExecContext(TaskScheduler* scheduler, const ScanOptions& scan = {})
+      : scheduler(scheduler), scan(scan) {}
 
-  ThreadPool* pool = nullptr;   // Borrowed; null = run inline.
-  /// Borrowed work-stealing scheduler (src/exec/task_scheduler.h); when set
-  /// (and `pool` is not), ExecuteRangeTasks feeds its chunks into the
-  /// shared per-worker deques instead of a private ParallelFor, so chunks
-  /// of concurrent queries interleave and idle workers steal. Only set
-  /// this on contexts executed from OUTSIDE the scheduler's own workers:
-  /// the executor blocks in TaskScheduler::Wait without helping, so a
-  /// worker submitting its own chunks would deadlock the deques. (This is
-  /// why QueryService's chunk closures keep their contexts scheduler-free
-  /// and the service decomposes plans itself.)
+  /// Borrowed work-stealing scheduler (src/exec/task_scheduler.h); null =
+  /// run inline. Batches fan their items out as one job, and
+  /// ExecuteRangeTasks feeds its chunks into the shared per-worker deques,
+  /// so chunks of concurrent queries interleave and idle workers steal.
+  /// Safe on the scheduler's own workers too: their Wait runs the awaited
+  /// job's queued chunks instead of sleeping on them.
   TaskScheduler* scheduler = nullptr;
   ScanOptions scan;             // Kernel mode and SIMD tier for every scan.
   /// External cancellation flag (borrowed, may be null). Once set, the
@@ -160,13 +154,12 @@ class ExecContext {
   }
 
   /// A child context for running a slice of this batch elsewhere (a routed
-  /// sub-batch, one worker's query, one statement): same pool, scan
+  /// sub-batch, one worker's query, one statement): same scheduler, scan
   /// options, and cancel flag; fresh stats; deadline clipped to this
   /// batch's *remaining* time, so the child's StartBatch cannot extend the
   /// parent's deadline. Forwarding layers must fork rather than copy.
   ExecContext Fork() const {
-    ExecContext child(pool, scan);
-    child.scheduler = scheduler;
+    ExecContext child(scheduler, scan);
     child.cancel = cancel;
     child.priority = priority;
     if (deadline_seconds > 0.0) {
@@ -204,10 +197,10 @@ class MultiDimIndex {
   virtual QueryPlan Prepare(const Query& query) const;
 
   /// Executes a prepared plan. Task-backed plans scan through the context's
-  /// thread pool and scan options (one batched submission, row-balanced
-  /// across threads) and then run FinishPlan(); passthrough plans delegate
-  /// to Execute(). Bit-identical to Execute(plan.query) for any pool size
-  /// and supported tier.
+  /// scheduler and scan options (one job of row-balanced chunks) and then
+  /// run FinishPlan(); passthrough plans delegate to Execute().
+  /// Bit-identical to Execute(plan.query) for any worker count and
+  /// supported tier.
   virtual QueryResult ExecutePlan(const QueryPlan& plan,
                                   ExecContext& ctx) const;
 
@@ -240,8 +233,8 @@ class MultiDimIndex {
   }
 
   /// Executes a batch: plans every query first, then runs the scans. With a
-  /// multi-threaded pool the batch is spread across its threads (each
-  /// query's scans run inline on one worker — no nested parallelism);
+  /// multi-worker scheduler the batch is one job spread across its workers
+  /// (each query's scans run inline on one worker — no nested fan-out);
   /// results are positionally stable and bit-identical to per-query
   /// Execute() either way. Cancellation is checked between queries; skipped
   /// queries — and the query in flight when cancellation fires, whose scans
@@ -253,8 +246,9 @@ class MultiDimIndex {
 
   /// Executes a batch of already-prepared plans: the amortization lever for
   /// served workloads — Prepare once, ExecutePlans every time the batch
-  /// recurs, paying only the scans. Same pool/cancellation/stats semantics
-  /// as ExecuteBatch, and the same results as executing each plan's query.
+  /// recurs, paying only the scans. Same scheduler/cancellation/stats
+  /// semantics as ExecuteBatch, and the same results as executing each
+  /// plan's query.
   std::vector<QueryResult> ExecutePlans(std::span<const QueryPlan> plans,
                                         ExecContext& ctx) const;
 

@@ -56,6 +56,14 @@ constexpr int64_t AggIdentity(AggKind kind) {
   }
 }
 
+/// Two's-complement add modulo 2^64. SUM/COUNT/AVG accumulators wrap by
+/// definition; adding in uint64_t keeps that wrap free of signed-overflow
+/// UB while producing the same bits.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Folds one matching row's value `v` into the accumulator `agg`. AVG
 /// accumulates the sum; the mean is `agg / matched` at finalization.
 inline void AccumulateAgg(AggKind kind, Value v, int64_t* agg) {
@@ -65,7 +73,7 @@ inline void AccumulateAgg(AggKind kind, Value v, int64_t* agg) {
       break;
     case AggKind::kSum:
     case AggKind::kAvg:
-      *agg += v;
+      *agg = WrapAdd(*agg, v);
       break;
     case AggKind::kMin:
       if (v < *agg) *agg = v;
@@ -199,7 +207,7 @@ inline void MergeQueryResults(AggKind kind, const QueryResult& in,
     case AggKind::kCount:
     case AggKind::kSum:
     case AggKind::kAvg:
-      out->agg += in.agg;
+      out->agg = WrapAdd(out->agg, in.agg);
       break;
     case AggKind::kMin:
       if (in.agg < out->agg) out->agg = in.agg;
@@ -217,7 +225,7 @@ inline void MergeAggValue(AggKind kind, int64_t in, int64_t* out) {
     case AggKind::kCount:
     case AggKind::kSum:
     case AggKind::kAvg:
-      *out += in;
+      *out = WrapAdd(*out, in);
       break;
     case AggKind::kMin:
       if (in < *out) *out = in;

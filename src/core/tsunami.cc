@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/common/workload_stats.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 
@@ -101,8 +102,7 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   // are identical for any thread count.
   std::vector<char> region_reused(num_regions, 0);
   std::vector<double> region_sort_seconds(num_regions, 0.0);
-  ThreadPool pool(options.build_threads > 1 ? options.build_threads : 0);
-  pool.ParallelFor(0, num_regions, 1, [&](int64_t region) {
+  auto build_region = [&](int64_t region) {
     Region& reg = regions_[region];
     if (use_grid_tree_) {
       reg.box_lo = tree_.region_lo(region);
@@ -154,7 +154,18 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
                    build_options);
     region_sort_seconds[region] = sort_timer.ElapsedSeconds();
     reg.has_grid = true;
-  });
+  };
+  if (options.build_threads <= 1) {
+    for (int region = 0; region < num_regions; ++region) build_region(region);
+  } else {
+    TaskScheduler scheduler(options.build_threads);
+    TaskScheduler::JobRef job = scheduler.Submit(
+        num_regions, [&](int64_t region, int) { build_region(region); });
+    scheduler.Wait(job);
+    // A region that threw is unbuilt: fail the build, never return a
+    // partial index (IngestStore's fold treats the throw as an abort).
+    if (job->failed()) throw std::runtime_error("region build failed");
+  }
 
   // Sequential epilogue: physical layout (regions are concatenated in
   // region order) and build statistics.

@@ -8,6 +8,16 @@
 
 namespace tsunami {
 
+namespace {
+
+// The scheduler whose WorkerLoop runs on this thread, and that worker's
+// index; null / -1 on every other thread. Wait() reads them to tell a
+// nested wait (help with the job's chunks) from an external one (sleep).
+thread_local const TaskScheduler* tls_scheduler = nullptr;
+thread_local int tls_worker = -1;
+
+}  // namespace
+
 TaskScheduler::TaskScheduler(int threads) {
   if (threads <= 0) return;
   workers_.reserve(threads);
@@ -81,6 +91,17 @@ TaskScheduler::JobRef TaskScheduler::Submit(
 
 void TaskScheduler::Wait(const JobRef& job) {
   if (job->finished()) return;
+  if (tls_scheduler == this) {
+    // Help-while-waiting: this worker would otherwise sleep on chunks that
+    // may sit in its own deque. Only the awaited job's chunks run here;
+    // chunks already running elsewhere finish on their own workers.
+    const int id = tls_worker;
+    Task task;
+    while (TakeQueuedChunk(job, id, &task)) {
+      RunTask(task, id);
+      task = Task{};
+    }
+  }
   std::unique_lock<std::mutex> lock(job->mu_);
   job->cv_.wait(lock, [&] { return job->finished(); });
 }
@@ -141,6 +162,23 @@ bool TaskScheduler::NextTask(int id, Task* out) {
   return false;
 }
 
+bool TaskScheduler::TakeQueuedChunk(const JobRef& job, int id, Task* out) {
+  const int n = num_threads();
+  for (int i = 0; i < n; ++i) {
+    Worker& w = *workers_[(id + i) % n];
+    std::unique_lock<std::mutex> lock(w.mu);
+    auto it = std::find_if(w.deque.begin(), w.deque.end(),
+                           [&job](const Task& t) { return t.job == job; });
+    if (it != w.deque.end()) {
+      *out = std::move(*it);
+      w.deque.erase(it);
+      queued_.fetch_sub(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
+}
+
 void TaskScheduler::RunTask(const Task& task, int worker) {
   try {
     // Fault sites: a chunk that throws (exercises the failed-job path) and
@@ -169,7 +207,14 @@ void TaskScheduler::RunTask(const Task& task, int worker) {
   }
 }
 
+int TaskScheduler::DefaultThreads() {
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
 void TaskScheduler::WorkerLoop(int id) {
+  tls_scheduler = this;
+  tls_worker = id;
   for (;;) {
     Task task;
     if (NextTask(id, &task)) {

@@ -1,10 +1,13 @@
-// Work-stealing task scheduler: the serving path's execution substrate.
+// Work-stealing task scheduler: the library's one executor. It runs the
+// serving path's per-query chunks, batch fan-outs (ExecuteBatch,
+// ExecutePlans), ExecuteRangeTasks' row-balanced chunks, and parallel
+// region builds (§6.1: "optimization and data sorting for index creation
+// are performed in parallel").
 //
-// ThreadPool (thread_pool.h) drains one FIFO queue, which is exactly right
-// for homogeneous build work but wrong for a skewed query batch: once each
-// worker holds one query, a giant region query serializes on its worker
-// while the needle queries finish and the rest of the machine idles. The
-// scheduler closes that gap with the classic per-worker-deque design: each
+// A skewed query batch is why it steals rather than drains one FIFO queue:
+// once each worker holds one query, a giant region query would serialize
+// on its worker while the needle queries finish and the rest of the
+// machine idles. The classic per-worker-deque design closes that gap: each
 // worker owns a deque, submitted jobs spread their chunks round-robin
 // across all deques, a worker pops from the front of its own deque and —
 // when empty — steals from the back of a victim's, so the chunks of a
@@ -19,6 +22,12 @@
 // row-balanced chunk lists and waits inline. Chunks of concurrently
 // submitted jobs interleave in the deques — that is the point: one shared
 // scheduler parallelizes *across* queries and *within* each query at once.
+//
+// Jobs nest. A chunk may submit to its own scheduler and Wait: a Wait on
+// one of the scheduler's workers first runs the awaited job's still-queued
+// chunks itself (from any deque), and sleeps only once none is left. It
+// never runs another job's chunk, so the nesting depth is bounded by the
+// callers' own nesting, and a helped chunk sees the waiter's worker index.
 //
 // Chunks must be independent; result aggregation is the caller's job
 // (per-chunk partials merged after Wait, the same disjoint-rows argument
@@ -80,7 +89,7 @@ class TaskScheduler {
 
   /// With `threads <= 0` the scheduler degenerates to inline execution on
   /// the submitting thread (deterministic chunk order; nothing to steal),
-  /// mirroring ThreadPool's inline mode.
+  /// which keeps single-threaded paths free of synchronization.
   explicit TaskScheduler(int threads);
   ~TaskScheduler();
 
@@ -97,7 +106,10 @@ class TaskScheduler {
   JobRef Submit(int64_t num_chunks, std::function<void(int64_t, int)> fn,
                 int priority = 0);
 
-  /// Blocks until every chunk of `job` has finished.
+  /// Blocks until every chunk of `job` has finished. Called on one of this
+  /// scheduler's workers, it first runs the job's still-queued chunks on
+  /// the calling thread, so a chunk waiting on a nested job cannot
+  /// deadlock the deques.
   void Wait(const JobRef& job);
 
   /// Moves every still-queued chunk of `job` to the front of its deque,
@@ -122,6 +134,9 @@ class TaskScheduler {
 
   Stats stats() const;
 
+  /// A sensible default worker count: hardware concurrency, at least 1.
+  static int DefaultThreads();
+
  private:
   struct Task {
     JobRef job;
@@ -140,6 +155,9 @@ class TaskScheduler {
   /// Pops from the front of worker `id`'s own deque, or steals from the
   /// back of another's. Returns false when every deque is empty.
   bool NextTask(int id, Task* out);
+  /// Removes one still-queued chunk of `job` from any deque, scanning from
+  /// worker `id`'s own. Returns false when none is queued.
+  bool TakeQueuedChunk(const JobRef& job, int id, Task* out);
   void RunTask(const Task& task, int worker);
 
   std::vector<std::unique_ptr<Worker>> workers_;

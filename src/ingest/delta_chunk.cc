@@ -106,7 +106,7 @@ void DeltaChunk::ScanRaw(int64_t rows, const Query& query,
           break;
         case AggKind::kSum:
         case AggKind::kAvg:
-          *acc += ops.sum_gather(col, sel, n);
+          *acc = WrapAdd(*acc, ops.sum_gather(col, sel, n));
           break;
         case AggKind::kMin: {
           Value m = ops.min_gather(col, sel, n);

@@ -358,7 +358,10 @@ void EncodedColumn::Serialize(BinaryWriter* writer) const {
   writer->PutVarU64(raw_.size());
   Value prev = 0;
   for (Value v : raw_) {
-    writer->PutVarI64(v - prev);
+    // Deltas wrap mod 2^64 (extreme neighbours overflow int64); the
+    // reader's WrapAdd undoes them exactly.
+    writer->PutVarI64(static_cast<int64_t>(static_cast<uint64_t>(v) -
+                                           static_cast<uint64_t>(prev)));
     prev = v;
   }
   // Format v3: per-block checksums ride at the tail so v2 layouts are a
@@ -420,7 +423,7 @@ bool EncodedColumn::Deserialize(BinaryReader* reader) {
   raw_.resize(raw_elems);
   Value prev = 0;
   for (uint64_t i = 0; i < raw_elems; ++i) {
-    prev += reader->GetVarI64();
+    prev = WrapAdd(prev, reader->GetVarI64());
     raw_[i] = prev;
   }
   if (!reader->ok()) return false;

@@ -491,8 +491,8 @@ void ScanKernel::AggregateRun(int64_t begin, int64_t end, int64_t block,
         break;
       case AggKind::kSum:
       case AggKind::kAvg:
-        *acc += full ? zones_->Sum(spec.column, block)
-                     : RangeSum(view, off, ops, end - begin);
+        *acc = WrapAdd(*acc, full ? zones_->Sum(spec.column, block)
+                                  : RangeSum(view, off, ops, end - begin));
         break;
       case AggKind::kMin: {
         Value m = full ? zones_->Min(spec.column, block)
@@ -571,7 +571,7 @@ void ScanKernel::ScanVectorized(int64_t begin, int64_t end,
           break;
         case AggKind::kSum:
         case AggKind::kAvg:
-          *acc += GatherSum(view, off, ops, sel, n);
+          *acc = WrapAdd(*acc, GatherSum(view, off, ops, sel, n));
           break;
         case AggKind::kMin: {
           Value m = GatherMin(view, off, ops, sel, n);

@@ -65,7 +65,8 @@ inline int64_t HorizontalSum(__m256i v) {
   __m128i lo = _mm256_castsi256_si128(v);
   __m128i hi = _mm256_extracti128_si256(v, 1);
   __m128i s = _mm_add_epi64(lo, hi);
-  return _mm_cvtsi128_si64(s) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
+  // Last add in a vector lane too: it wraps, a scalar int64 add would not.
+  return _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)));
 }
 
 inline Value HorizontalMin(__m256i v) {
@@ -291,7 +292,7 @@ int64_t Avx2SumGather(const Value* col, const uint32_t* sel, int n) {
     acc = _mm256_add_epi64(acc, _mm256_i32gather_epi64(AsLL(col), idx, 8));
   }
   int64_t s = HorizontalSum(acc);
-  for (; j < n; ++j) s += col[sel[j]];
+  for (; j < n; ++j) s = WrapAdd(s, col[sel[j]]);
   return s;
 }
 
@@ -339,7 +340,7 @@ int64_t Avx2SumRange(const Value* col, int64_t n) {
         acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r)));
   }
   int64_t s = HorizontalSum(acc);
-  for (; r < n; ++r) s += col[r];
+  for (; r < n; ++r) s = WrapAdd(s, col[r]);
   return s;
 }
 
@@ -397,7 +398,7 @@ void Avx2BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s = WrapAdd(s, v);
   }
   *mn = lo;
   *mx = hi;

@@ -128,8 +128,8 @@ int64_t NeonSumRange(const Value* col, int64_t n) {
   int64x2_t acc = vdupq_n_s64(0);
   int64_t r = 0;
   for (; r + 2 <= n; r += 2) acc = vaddq_s64(acc, vld1q_s64(col + r));
-  int64_t s = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; r < n; ++r) s += col[r];
+  int64_t s = WrapAdd(vgetq_lane_s64(acc, 0), vgetq_lane_s64(acc, 1));
+  for (; r < n; ++r) s = WrapAdd(s, col[r]);
   return s;
 }
 
@@ -179,13 +179,13 @@ void NeonBlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     a = vgetq_lane_s64(vmax, 0);
     b = vgetq_lane_s64(vmax, 1);
     hi = a > b ? a : b;
-    s = vgetq_lane_s64(vsum, 0) + vgetq_lane_s64(vsum, 1);
+    s = WrapAdd(vgetq_lane_s64(vsum, 0), vgetq_lane_s64(vsum, 1));
   }
   for (; r < n; ++r) {
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s = WrapAdd(s, v);
   }
   *mn = lo;
   *mx = hi;

@@ -90,7 +90,7 @@ int RefinePassU32(const uint32_t* codes, uint32_t* sel, int n, uint32_t lo,
 
 int64_t SumGather(const Value* col, const uint32_t* sel, int n) {
   int64_t s = 0;
-  for (int j = 0; j < n; ++j) s += col[sel[j]];
+  for (int j = 0; j < n; ++j) s = WrapAdd(s, col[sel[j]]);
   return s;
 }
 
@@ -114,7 +114,7 @@ Value MaxGather(const Value* col, const uint32_t* sel, int n) {
 
 int64_t SumRange(const Value* col, int64_t n) {
   int64_t s = 0;
-  for (int64_t r = 0; r < n; ++r) s += col[r];
+  for (int64_t r = 0; r < n; ++r) s = WrapAdd(s, col[r]);
   return s;
 }
 
@@ -138,7 +138,7 @@ void BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s = WrapAdd(s, v);
   }
   *mn = lo;
   *mx = hi;

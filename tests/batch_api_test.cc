@@ -30,7 +30,7 @@
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/flood/flood.h"
 #include "src/query/engine.h"
 #include "src/query/router.h"
@@ -150,18 +150,26 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
     for (size_t i = shuffled.size(); i > 1; --i) {
       std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
     }
-    for (int threads : {0, 4}) {
-      ThreadPool pool(threads);
+    for (int threads : {0, 1, 2, 4}) {
+      TaskScheduler scheduler(threads);
       for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
-        ExecContext ctx(&pool, ScanOptions{mode});
+        ExecContext ctx(&scheduler, ScanOptions{mode});
         std::vector<QueryResult> batch = RunWorkload(*index, shuffled, ctx);
+        std::vector<QueryPlan> plans;
+        for (const Query& q : shuffled) plans.push_back(index->Prepare(q));
+        std::vector<QueryResult> replayed = index->ExecutePlans(plans, ctx);
         ASSERT_EQ(batch.size(), shuffled.size());
+        ASSERT_EQ(replayed.size(), shuffled.size());
         for (size_t i = 0; i < shuffled.size(); ++i) {
-          ExpectBitIdentical(batch[i], index->Execute(shuffled[i]),
-                             index->Name() + " query " + std::to_string(i) +
-                                 " threads " + std::to_string(threads));
+          const std::string context = index->Name() + " query " +
+                                      std::to_string(i) + " threads " +
+                                      std::to_string(threads);
+          QueryResult want = index->Execute(shuffled[i]);
+          ExpectBitIdentical(batch[i], want, context);
+          ExpectBitIdentical(replayed[i], want, context + " (plans)");
         }
-        EXPECT_EQ(ctx.stats.queries, static_cast<int64_t>(shuffled.size()));
+        EXPECT_EQ(ctx.stats.queries,
+                  2 * static_cast<int64_t>(shuffled.size()));
       }
     }
   }
@@ -169,9 +177,9 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
 
 TEST_F(BatchApiTest, PrepareThenExecutePlanMatchesExecute) {
   Roster roster = BuildRoster();
-  ThreadPool pool(2);
+  TaskScheduler scheduler(2);
   for (const MultiDimIndex* index : roster.All()) {
-    ExecContext ctx(&pool);
+    ExecContext ctx(&scheduler);
     for (size_t i = 0; i < workload_.size(); ++i) {
       QueryPlan plan = index->Prepare(workload_[i]);
       ExpectBitIdentical(index->ExecutePlan(plan, ctx),
@@ -270,9 +278,10 @@ TEST_F(BatchApiTest, AggsListWithoutMirrorSyncStillCorrect) {
   EXPECT_EQ(got.extra[0], want.extra[0]);
 
   // The parallel partial-merge path (MergeQueryResults over MIN) too: the
-  // unfiltered 16k-row scan exceeds a 2-thread pool's inline threshold.
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  // unfiltered 16k-row scan exceeds a 2-worker scheduler's inline
+  // threshold.
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   QueryResult parallel = index.ExecutePlan(index.Prepare(q), ctx);
   EXPECT_EQ(parallel.agg, want.agg);
   EXPECT_EQ(parallel.extra[0], want.extra[0]);
@@ -302,7 +311,7 @@ TEST_F(BatchApiTest, DeadlineStopsBatchAndSurvivesForking) {
   EXPECT_LT(ctx.stats.queries, static_cast<int64_t>(workload_.size()));
   // Forked children inherit the *remaining* deadline — an expired parent
   // must hand out an immediately-expiring child, never 0 ("no deadline"),
-  // so forwarding layers (router sub-batches, engine statements, pooled
+  // so forwarding layers (router sub-batches, engine statements, scheduler
   // workers) cannot restart the clock.
   EXPECT_TRUE(ctx.ShouldStop());
   ExecContext child = ctx.Fork();
@@ -315,8 +324,8 @@ TEST_F(BatchApiTest, DeadlineStopsBatchAndSurvivesForking) {
 
 TEST_F(BatchApiTest, BatchStatsMatchPerQueryCounters) {
   FloodIndex index(data_, workload_);
-  ThreadPool pool(3);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(3);
+  ExecContext ctx(&scheduler);
   std::vector<QueryResult> results = RunWorkload(index, workload_, ctx);
   int64_t scanned = 0, matched = 0, ranges = 0;
   for (const QueryResult& r : results) {
@@ -338,8 +347,8 @@ TEST_F(BatchApiTest, DeltaChunksCoveredByBatchPath) {
   std::unique_ptr<ingest::IngestStore> store =
       StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
   FullScanIndex reference(all_rows);
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   std::vector<QueryResult> batch = RunWorkload(*store, workload_, ctx);
   for (size_t i = 0; i < workload_.size(); ++i) {
     ExpectBitIdentical(batch[i], store->Execute(workload_[i]),
@@ -382,8 +391,8 @@ TEST_F(BatchApiTest, EngineMultiAggregateAndRunBatch) {
   };
   std::vector<PreparedStatement> stmts;
   for (const std::string& sql : sqls) stmts.push_back(engine.Prepare(sql));
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   std::vector<SqlResult> batch = engine.RunBatch(stmts, ctx);
   ASSERT_EQ(batch.size(), sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {

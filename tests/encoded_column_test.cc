@@ -93,7 +93,10 @@ Query RandomQuery(Rng* rng, int dims, int num_filters, AggKind agg) {
     Value width = rng->NextBelow(4) == 0 ? rng->UniformValue(0, 100)
                                          : rng->UniformValue(0, int64_t{1}
                                                                     << 20);
-    Value hi = (width > kValueMax - lo) ? kValueMax : lo + width;
+    // Negative lo is open-ended upward (hi = kValueMax), as this generator
+    // has always produced; testing lo < 0 first keeps kValueMax - lo from
+    // overflowing.
+    Value hi = (lo < 0 || width > kValueMax - lo) ? kValueMax : lo + width;
     q.filters.push_back(Predicate{dim, lo, hi});
   }
   return q;

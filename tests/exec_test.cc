@@ -1,96 +1,26 @@
-// Tests for the parallel execution substrate: thread pool semantics,
-// parallel workload runs, and parallel index builds being bit-identical to
-// serial builds.
+// Tests for parallel execution on the task scheduler: parallel workload
+// runs, nested (on-worker) execution, and parallel index builds being
+// bit-identical to serial builds. Scheduler semantics themselves live in
+// task_scheduler_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "src/baselines/full_scan.h"
+#include "src/common/fault_injection.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
 #include "src/exec/task_scheduler.h"
-#include "src/exec/thread_pool.h"
 #include "src/flood/flood.h"
 #include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
-
-TEST(ThreadPoolTest, InlinePoolRunsOnCaller) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&] { counter.fetch_add(1); });
-    }
-  }  // Destructor joins after draining.
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(10000);
-  pool.ParallelFor(0, 10000, 16, [&](int64_t i) { touched[i].fetch_add(1); });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyAndSingleRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(5, 5, 1, [&](int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(7, 8, 1, [&](int64_t i) {
-    ++calls;
-    EXPECT_EQ(i, 7);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForUsesMultipleThreads) {
-  ThreadPool pool(4);
-  std::atomic<int> distinct{0};
-  std::mutex mu;
-  std::vector<std::thread::id> seen;
-  pool.ParallelFor(0, 64, 1, [&](int64_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::lock_guard<std::mutex> lock(mu);
-    auto id = std::this_thread::get_id();
-    if (std::find(seen.begin(), seen.end(), id) == seen.end()) {
-      seen.push_back(id);
-      distinct.fetch_add(1);
-    }
-  });
-  EXPECT_GE(distinct.load(), 2);
-}
 
 // --- Parallel workload execution ---------------------------------------------
 
@@ -125,7 +55,7 @@ TEST_F(ParallelRunTest, IntraQueryParallelismMatchesSerialExecute) {
   options.cluster_queries = false;
   TsunamiIndex index(data_, workload_, options);
   // A query spanning many regions, plus the regular workload, must return
-  // identical results and counters for every pool size (regions are
+  // identical results and counters for every worker count (regions are
   // disjoint, so partial merges are exact).
   Workload probes = workload_;
   Query wide;
@@ -134,8 +64,8 @@ TEST_F(ParallelRunTest, IntraQueryParallelismMatchesSerialExecute) {
   Query everything;
   probes.push_back(everything);
   for (int threads : {0, 1, 2, 4}) {
-    ThreadPool pool(threads);
-    ExecContext ctx(&pool);
+    TaskScheduler scheduler(threads);
+    ExecContext ctx(&scheduler);
     for (Query q : probes) {
       for (AggKind agg : {AggKind::kCount, AggKind::kSum, AggKind::kMin}) {
         q.agg = agg;
@@ -151,12 +81,13 @@ TEST_F(ParallelRunTest, IntraQueryParallelismMatchesSerialExecute) {
   }
 }
 
-TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
-  // A pool-less context with a work-stealing scheduler attached: the
-  // runner submits its row-balanced chunks to the shared deques instead of
-  // ParallelFor. Must be bit-identical to serial Execute for every worker
-  // count. (Only legal from outside the scheduler's workers — the runner
-  // blocks in Wait; see ExecContext::scheduler.)
+TEST_F(ParallelRunTest, NestedExecutePlanOnSchedulerWorkersMatchesSerial) {
+  // Every probe runs as a chunk *on* the scheduler, and its ExecutePlan
+  // submits its range-task chunks back to the same scheduler and waits:
+  // the waiting workers must run those chunks themselves (help-while-
+  // waiting) rather than deadlock, and the result must stay bit-identical
+  // to serial Execute for every worker count, multi-aggregate extras
+  // included.
   TsunamiOptions options;
   options.cluster_queries = false;
   TsunamiIndex index(data_, workload_, options);
@@ -164,21 +95,26 @@ TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
   Query wide;
   wide.filters = {Predicate{0, 0, 50000}};
   probes.push_back(wide);
+  for (Query& q : probes) {
+    q.SetAggregates({{AggKind::kSum, 1}, {AggKind::kCount, 0}});
+  }
   for (int threads : {1, 2, 4}) {
     TaskScheduler scheduler(threads);
-    ExecContext ctx;
-    ctx.scheduler = &scheduler;
-    for (Query q : probes) {
-      q.SetAggregates({{AggKind::kSum, 1}, {AggKind::kCount, 0}});
-      QueryResult serial = index.Execute(q);
-      QueryResult stolen = index.ExecutePlan(index.Prepare(q), ctx);
-      ASSERT_EQ(stolen.agg, serial.agg) << threads << " workers";
-      ASSERT_EQ(stolen.matched, serial.matched);
-      ASSERT_EQ(stolen.scanned, serial.scanned);
-      ASSERT_EQ(stolen.cell_ranges, serial.cell_ranges);
-      for (size_t i = 0; i < stolen.extra.size(); ++i) {
-        ASSERT_EQ(stolen.extra[i], serial.extra[i]);
-      }
+    std::vector<QueryResult> nested(probes.size());
+    TaskScheduler::JobRef job = scheduler.Submit(
+        static_cast<int64_t>(probes.size()), [&](int64_t i, int) {
+          ExecContext ctx(&scheduler);
+          nested[i] = index.ExecutePlan(index.Prepare(probes[i]), ctx);
+        });
+    scheduler.Wait(job);
+    ASSERT_FALSE(job->failed());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      QueryResult serial = index.Execute(probes[i]);
+      ASSERT_EQ(nested[i].agg, serial.agg) << threads << " workers";
+      ASSERT_EQ(nested[i].matched, serial.matched);
+      ASSERT_EQ(nested[i].scanned, serial.scanned);
+      ASSERT_EQ(nested[i].cell_ranges, serial.cell_ranges);
+      ASSERT_EQ(nested[i].extra, serial.extra);
     }
   }
 }
@@ -190,8 +126,8 @@ TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaChunks) {
   std::unique_ptr<ingest::IngestStore> store =
       StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
   FullScanIndex reference(all_rows);
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   for (const Query& q : workload_) {
     QueryResult serial = store->Execute(q);
     QueryResult parallel = store->ExecutePlan(store->Prepare(q), ctx);
@@ -207,9 +143,12 @@ TEST_F(ParallelRunTest, ParallelResultsEqualSerial) {
   TsunamiOptions options;
   options.cluster_queries = false;
   TsunamiIndex index(data_, workload_, options);
-  std::vector<QueryResult> serial = RunWorkload(index, workload_);
-  ThreadPool pool(4);
-  std::vector<QueryResult> parallel = RunWorkload(index, workload_, &pool);
+  ExecContext serial_ctx;
+  std::vector<QueryResult> serial = RunWorkload(index, workload_, serial_ctx);
+  TaskScheduler scheduler(4);
+  ExecContext parallel_ctx(&scheduler);
+  std::vector<QueryResult> parallel =
+      RunWorkload(index, workload_, parallel_ctx);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(parallel[i].agg, serial[i].agg);
@@ -221,8 +160,9 @@ TEST_F(ParallelRunTest, ParallelResultsEqualSerial) {
 
 TEST_F(ParallelRunTest, MeasureWorkloadCountersMatchResults) {
   FloodIndex index(data_, workload_, FloodOptions());
-  std::vector<QueryResult> results = RunWorkload(index, workload_);
-  WorkloadRunStats stats = MeasureWorkload(index, workload_);
+  ExecContext run_ctx, measure_ctx;
+  std::vector<QueryResult> results = RunWorkload(index, workload_, run_ctx);
+  WorkloadRunStats stats = MeasureWorkload(index, workload_, measure_ctx);
   int64_t scanned = 0, matched = 0;
   for (const QueryResult& r : results) {
     scanned += r.scanned;
@@ -262,6 +202,35 @@ TEST_F(ParallelRunTest, ParallelBuildProducesIdenticalIndex) {
     EXPECT_EQ(a.scanned, b.scanned);
     EXPECT_EQ(a.cell_ranges, b.cell_ranges);
   }
+}
+
+TEST_F(ParallelRunTest, FailedRegionBuildThrowsFromConstructor) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  // Every scheduler chunk throws before it runs: a parallel build loses
+  // regions, so the constructor must throw rather than hand back a
+  // partially built index.
+  TsunamiOptions options;
+  options.cluster_queries = false;
+  options.build_threads = 4;
+  fault::FaultSpec throw_spec;
+  throw_spec.probability = 1.0;
+  fault::Arm("sched.task_throw", throw_spec);
+  std::unique_ptr<TsunamiIndex> index;
+  EXPECT_THROW(
+      index = std::make_unique<TsunamiIndex>(data_, workload_, options),
+      std::runtime_error);
+  EXPECT_EQ(index, nullptr);
+  EXPECT_GT(fault::FireCount("sched.task_throw"), 0);
+  fault::DisarmAll();
+  // Disarmed, the same build succeeds and answers like a full scan.
+  TsunamiIndex built(data_, workload_, options);
+  ColumnStore reference(data_);
+  for (const Query& q : workload_) {
+    EXPECT_EQ(built.Execute(q).agg, ExecuteFullScan(reference, q).agg);
+  }
+#endif
 }
 
 class BuildThreadSweepTest : public ::testing::TestWithParam<int> {};

@@ -1,12 +1,14 @@
 // Tests for the work-stealing task scheduler: every chunk runs exactly
 // once (any thread count, concurrent submitters), Wait/Finished semantics,
-// inline determinism, priority jumping the queue, and stealing actually
-// firing on a skewed job mix.
+// inline determinism, several workers running at once, priority jumping
+// the queue, stealing actually firing on a skewed job mix, and nested jobs
+// completing through help-while-waiting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -90,6 +92,45 @@ TEST(TaskSchedulerTest, EmptyJobIsImmediatelyFinished) {
   });
   EXPECT_TRUE(TaskScheduler::Finished(job));
   scheduler.Wait(job);
+}
+
+TEST(TaskSchedulerTest, SingleChunkJobRunsItsOneChunk) {
+  TaskScheduler scheduler(2);
+  std::atomic<int> calls{0};
+  TaskScheduler::JobRef job = scheduler.Submit(1, [&](int64_t c, int) {
+    EXPECT_EQ(c, 0);
+    calls.fetch_add(1, std::memory_order_relaxed);
+  });
+  scheduler.Wait(job);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+// Two chunks on a two-worker scheduler each wait until both are running:
+// only two distinct worker threads can get both past the rendezvous. The
+// wait is bounded, so a scheduler that runs chunks one at a time fails
+// instead of hanging.
+TEST(TaskSchedulerTest, UsesSeveralWorkersAtOnce) {
+  TaskScheduler scheduler(2);
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::vector<std::thread::id> seen;
+  TaskScheduler::JobRef job = scheduler.Submit(2, [&](int64_t, int) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.push_back(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load(std::memory_order_acquire) < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  scheduler.Wait(job);
+  EXPECT_EQ(arrived.load(), 2);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_NE(seen[0], seen[1]);
 }
 
 // One chunk blocks its worker while the rest of the job's chunks sit in
@@ -258,6 +299,43 @@ TEST(TaskSchedulerTest, DestructorDrainsQueuedChunks) {
     // No Wait: destruction must drain everything.
   }
   EXPECT_EQ(ran.load(), 32 * 16);
+}
+
+// A chunk that submits a job to its own scheduler and waits on it: with a
+// single worker, nothing but the waiting worker itself can run the inner
+// chunks, so Wait must help rather than sleep. A watchdog bounds the
+// outer wait; on a deadlock the scheduler is leaked (its one worker is
+// parked for good) so the test fails instead of hanging in the destructor.
+TEST(TaskSchedulerTest, NestedWaitOnOwnWorkerHelpsInsteadOfDeadlocking) {
+  auto scheduler = std::make_unique<TaskScheduler>(1);
+  const int64_t kInner = 8;
+  std::vector<int> inner_hits(kInner, 0);
+  std::atomic<bool> inner_failed{true};
+  TaskScheduler::JobRef outer =
+      scheduler->Submit(1, [&](int64_t, int outer_worker) {
+        TaskScheduler::JobRef inner =
+            scheduler->Submit(kInner, [&](int64_t c, int worker) {
+              EXPECT_EQ(worker, outer_worker);
+              ++inner_hits[c];
+            });
+        scheduler->Wait(inner);
+        inner_failed.store(!TaskScheduler::Finished(inner) || inner->failed(),
+                           std::memory_order_release);
+      });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!TaskScheduler::Finished(outer) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!TaskScheduler::Finished(outer)) {
+    (void)scheduler.release();  // Deliberate leak: see above.
+    FAIL() << "nested Wait on the scheduler's own worker deadlocked";
+  }
+  scheduler->Wait(outer);
+  EXPECT_FALSE(outer->failed());
+  EXPECT_FALSE(inner_failed.load(std::memory_order_acquire));
+  for (int64_t c = 0; c < kInner; ++c) EXPECT_EQ(inner_hits[c], 1) << c;
+  EXPECT_EQ(scheduler->queue_depth(), 0);
 }
 
 }  // namespace
