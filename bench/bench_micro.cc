@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives, including
 // the two ablations DESIGN.md calls out: the exact-range scan skip and the
 // sort-dimension binary-search refinement. main() additionally runs the
-// scalar-vs-vectorized scan-kernel A/B sweep and writes
-// BENCH_scan_kernel.json before the registered benchmarks.
+// scan-tier A/B/C sweep (reference vs kNone block kernel vs SIMD) and
+// writes BENCH_scan_kernel.json before the registered benchmarks.
 #include <algorithm>
 #include <chrono>
 #include <numeric>
@@ -226,14 +226,16 @@ void BM_RouterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterDispatch);
 
-// --- Scan-kernel A/B/C: scalar vs vectorized vs SIMD over selectivities --
+// --- Scan-kernel A/B/C: reference vs block kernel vs SIMD, by selectivity -
 //
 // Clustered data (sorted by dim 0, the layout every clustering index
 // produces) so the zone maps see the locality they were built for. Two
 // shapes: full-store scans at swept selectivities (the "large range" case
 // where the kernel must win big) and short ranges at the sizes grid cells
-// produce after refinement (where it must at least not lose). The C column
-// is the SIMD tier at the best runtime-dispatched instruction set.
+// produce after refinement (where it must at least not lose). A is the
+// row-at-a-time SimdTier::kReference loop ("scalar" in the output), B the
+// block kernel on the portable ops (kNone, "vector"), and C the tier forced
+// by --simd or else the best runtime-dispatched one.
 
 Dataset MakeClusteredData(int64_t rows, int dims, uint64_t seed) {
   Rng rng(seed);
@@ -257,16 +259,15 @@ Dataset MakeClusteredData(int64_t rows, int dims, uint64_t seed) {
   return sorted;
 }
 
-// Best-of-`reps` seconds for scanning `tasks` in `mode` at `tier`.
+// Best-of-`reps` seconds for scanning `tasks` at `tier`.
 double TimeScan(const ColumnStore& store, std::span<const RangeTask> tasks,
-                const Query& query, ScanMode mode, int reps,
-                SimdTier tier = SimdTier::kAuto) {
+                const Query& query, SimdTier tier, int reps) {
   double best = 0.0;
   int64_t sink = 0;
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
     QueryResult r = InitResult(query);
-    store.ScanRanges(tasks, query, &r, ScanOptions{mode, tier});
+    store.ScanRanges(tasks, query, &r, ScanOptions{tier});
     double seconds = timer.ElapsedSeconds();
     sink += r.agg;
     if (rep == 0 || seconds < best) best = seconds;
@@ -302,10 +303,9 @@ void RunScanKernelAB(SimdTier forced_tier,
     q.agg = AggKind::kSum;
     q.agg_dim = 2;
     RangeTask task{0, store.size(), false};
-    double scalar = TimeScan(store, {&task, 1}, q, ScanMode::kScalar, 5);
-    double vec = TimeScan(store, {&task, 1}, q, ScanMode::kVectorized, 5);
-    double simd =
-        TimeScan(store, {&task, 1}, q, ScanMode::kSimd, 5, forced_tier);
+    double scalar = TimeScan(store, {&task, 1}, q, SimdTier::kReference, 5);
+    double vec = TimeScan(store, {&task, 1}, q, SimdTier::kNone, 5);
+    double simd = TimeScan(store, {&task, 1}, q, forced_tier, 5);
     double speedup = vec > 0 ? scalar / vec : 0.0;
     double simd_vs_vec = simd > 0 ? vec / simd : 0.0;
     std::printf("full sel=%-13g %13.3f %13.3f %13.3f %9.2fx %9.2fx\n", sel,
@@ -341,9 +341,9 @@ void RunScanKernelAB(SimdTier forced_tier,
       tasks.push_back(RangeTask{begin, begin + range_len, false});
     }
     int64_t scanned = range_len * kTasks;
-    double scalar = TimeScan(store, tasks, q, ScanMode::kScalar, 5);
-    double vec = TimeScan(store, tasks, q, ScanMode::kVectorized, 5);
-    double simd = TimeScan(store, tasks, q, ScanMode::kSimd, 5, forced_tier);
+    double scalar = TimeScan(store, tasks, q, SimdTier::kReference, 5);
+    double vec = TimeScan(store, tasks, q, SimdTier::kNone, 5);
+    double simd = TimeScan(store, tasks, q, forced_tier, 5);
     double speedup = vec > 0 ? scalar / vec : 0.0;
     double simd_vs_vec = simd > 0 ? vec / simd : 0.0;
     std::printf("cell rows=%-12lld %13.3f %13.3f %13.3f %9.2fx %9.2fx\n",
@@ -426,10 +426,8 @@ void RunEncodingAB(std::vector<std::string>* records) {
         q.agg = AggKind::kSum;
         q.agg_dim = 1;
         RangeTask task{0, raw.size(), false};
-        double t_raw =
-            TimeScan(raw, {&task, 1}, q, ScanMode::kSimd, 5, tier);
-        double t_coded =
-            TimeScan(coded, {&task, 1}, q, ScanMode::kSimd, 5, tier);
+        double t_raw = TimeScan(raw, {&task, 1}, q, tier, 5);
+        double t_coded = TimeScan(coded, {&task, 1}, q, tier, 5);
         double speedup = t_coded > 0 ? t_raw / t_coded : 0.0;
         std::printf("%-6s %-8s %-6g %14.3f %14.3f %9.2fx\n", wc.name,
                     tier_name, sel, t_raw * 1e9 / kRows,

@@ -39,7 +39,9 @@
 // double-applied), and 32 range queries are bit-identical to a full-scan
 // reference. Repeats for several kill/recover cycles; under --soak (FI
 // builds) the WAL fault sites — including injected fs.enospc disk-full
-// latches — are armed inside the child too.
+// latches — are armed inside the child too, except in the one cycle that
+// arms ingest.fold_window instead, so every fold parks until a chunk roll
+// lands inside it and the kill can fall in that window.
 //
 // With --pressure the soak runs the system against its resource budgets:
 // phase 1 paces concurrent writers through a ResourceGovernor delta-backlog
@@ -699,7 +701,8 @@ static durability::DurabilityOptions StoreOptions(const std::string& dir) {
 /// Child body: open (recover), then insert deterministic batches forever,
 /// appending each batch index to the ack file only after its durable ack.
 /// Runs until SIGKILLed; never returns.
-[[noreturn]] static void RunChild(const std::string& dir, bool soak) {
+[[noreturn]] static void RunChild(const std::string& dir, bool soak,
+                                  bool fold_window) {
   std::string error;
   std::unique_ptr<durability::DurableIngestStore> store =
       durability::DurableIngestStore::Open(BaseData(), BaseWorkload(),
@@ -722,13 +725,27 @@ static durability::DurabilityOptions StoreOptions(const std::string& dir) {
       fault::Arm(site, spec);
     };
     arm("durability.checkpoint_throw", 0.30, 61);
-    arm("wal.torn_write", 0.0005, 62);
-    arm("wal.fsync_fail", 0.0005, 63);
-    // Injected disk-full hits latch the store recoverably: acks fail
-    // closed (the parent's contract only covers *acked* batches) and the
-    // retry loop below drives the checkpoint-drain re-arm — so the kill
-    // can also land mid-latch or mid-re-arm.
-    arm("fs.enospc", 0.0005, 64);
+    if (fold_window) {
+      // Every fold parks between its base capture and its open-chunk read
+      // until one more chunk rolls (param 1), so rolls land inside folds
+      // and the kill can too. The log faults stay disarmed here: a log
+      // that fails closed (or latches disk-full) stops the inserts, no
+      // chunk ever rolls, and the parked fold would abort instead of
+      // being killed.
+      fault::FaultSpec spec;
+      spec.param = 1;
+      fault::Arm("ingest.fold_window", spec);
+    } else {
+      arm("wal.torn_write", 0.0005, 62);
+      arm("wal.fsync_fail", 0.0005, 63);
+      // Injected disk-full hits latch the store recoverably: acks fail
+      // closed (the parent's contract only covers *acked* batches) and
+      // the retry loop below drives the checkpoint-drain re-arm — so the
+      // kill can also land mid-latch or mid-re-arm.
+      arm("fs.enospc", 0.0005, 64);
+    }
+#else
+    (void)fold_window;
 #endif
   }
   const int ack_fd = ::open((dir + "/acks.log").c_str(),
@@ -778,12 +795,13 @@ static bool RunDurableSoak(bool soak) {
   int64_t prev_acked = 0;
 
   for (int cycle = 0; cycle < kCycles && ok; ++cycle) {
+    const bool fold_window = soak && cycle == 1;
     const pid_t child = ::fork();
     if (child < 0) {
       std::printf("durable soak: fork failed\n");
       return false;
     }
-    if (child == 0) RunChild(dir, soak);  // Never returns.
+    if (child == 0) RunChild(dir, soak, fold_window);  // Never returns.
 
     // Wait for the child to make progress past recovery, then kill it at an
     // arbitrary point mid-ingest — mid-group-commit, mid-checkpoint,
@@ -894,10 +912,11 @@ static bool RunDurableSoak(bool soak) {
     if (mismatches > 0) ok = false;
 
     std::printf(
-        "durable soak cycle %d: killed mid-ingest after %lld acks; "
+        "durable soak cycle %d%s: killed mid-ingest after %lld acks; "
         "recovered %lld batches (%lld rows, checkpoint v%llu + %lld "
         "replayed%s) in %.3fs, %lld/32 replay mismatches\n",
-        cycle, static_cast<long long>(acked),
+        cycle, fold_window ? " (fold window armed)" : "",
+        static_cast<long long>(acked),
         static_cast<long long>(batches), static_cast<long long>(rows),
         static_cast<unsigned long long>(rec.checkpoint_version),
         static_cast<long long>(rec.replayed_rows),

@@ -2,18 +2,17 @@
 # CI entry point: configure, build, and run the tier-1 test suite, with
 # -Werror applied to the files this PR introduced (TSUNAMI_WERROR).
 #
-# Eleven passes:
+# Nine passes:
 #  1. the default build (SIMD tiers compiled in, runtime-dispatched; column
 #     blocks FOR + bit-width encoded);
-#  2. a -DTSUNAMI_DISABLE_SIMD=ON build that pins the portable scalar
-#     kernel, so the fallback path can never silently rot;
-#  3. a -DTSUNAMI_DISABLE_ENCODING=ON build that pins every column block to
-#     raw 64-bit storage, so the unencoded scan path stays exercised;
-#  4. the examples (including the batch-API and query-service demos, which
-#     self-check against per-query execution) plus a ctest run under
-#     TSUNAMI_FORCE_SCALAR, exercising the runtime-degraded dispatch path
-#     in the full-SIMD binary;
-#  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
+#  2. the examples (including the batch-API and query-service demos, which
+#     self-check against per-query execution) plus two more full ctest runs
+#     of the default build under the runtime kill switches:
+#     TSUNAMI_FORCE_SCALAR pins the auto tier to the portable scalar ops
+#     and TSUNAMI_DISABLE_ENCODING pins every default-built column block to
+#     raw 64-bit storage, so neither fallback path can silently rot (the
+#     suites' self-checks assert that each switch took effect);
+#  3. a ThreadSanitizer build gating the concurrency suites (work-stealing
 #     scheduler with nested help-while-waiting, query service, runner and
 #     region builds, and the batch API whose ExecuteBatch fans out through
 #     the scheduler) — the execution path is lock-and-deque code and must
@@ -22,36 +21,37 @@
 #     (thrown chunks, flipped checksums, injected stalls) run *under* TSan:
 #     the error paths must be as race-clean as the happy path (wal_test
 #     rides here too for the ingest.fold_window durable regression);
-#  6. an AddressSanitizer+UBSanitizer build, also with fault injection on,
+#  4. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
 #     scheduler must not scribble, leak-on-throw, or hit UB. UBSan is fatal
-#     (UBSAN_OPTIONS halt_on_error) here and in passes 7, 9 and 10;
-#  7. the network front end under the same ASan+UBSan+FI build:
+#     (UBSAN_OPTIONS halt_on_error) here and in passes 5, 7 and 8;
+#  5. the network front end under the same ASan+UBSan+FI build:
 #     tsunami_serverd + net_test (which gates the wire-level NetFaultTest
 #     fault soaks on TSUNAMI_FAULT_INJECTION), a loopback daemon smoke via
 #     tsunami_serverd itself (SIGTERM drain must exit 0), and the
 #     1000-connection fault-injected `query_service --soak --net` soak;
-#  8. the concurrent-ingest path under the TSan+FI build: ingest_test rides
-#     in pass 5/6, and `query_service --soak --ingest` races writers,
+#  6. the concurrent-ingest path under the TSan+FI build: ingest_test rides
+#     in pass 3/4, and `query_service --soak --ingest` races writers,
 #     readers, and grid reorganization with the ingest fault sites
 #     (ingest.compact_throw, ingest.swap_delay) armed — epoch-based
 #     snapshot publication must stay race-clean under injected aborts and
 #     widened swap windows, and the quiesced replay must be bit-identical;
-#  9. the durability path under the ASan+UBSan+FI build: wal_test (whose
+#  7. the durability path under the ASan+UBSan+FI build: wal_test (whose
 #     WalFaultTest suite arms wal.torn_write / wal.fsync_fail /
 #     durability.checkpoint_throw and requires the log to fail closed) and
 #     the `query_service --soak --durable` crash-recovery soak, which
-#     SIGKILLs a durable-ingest child mid-stream three times and verifies
+#     SIGKILLs a durable-ingest child mid-stream three times (one cycle
+#     with ingest.fold_window armed instead of the WAL faults) and verifies
 #     every acked batch survives recovery, nothing is double-applied, and a
 #     quiesced query replay is bit-identical to a full-scan reference;
-# 10. resource pressure under the same ASan+UBSan+FI build: resource_test
+#  8. resource pressure under the same ASan+UBSan+FI build: resource_test
 #     (governor accounting, backpressure determinism, the fs.enospc sweep
 #     over all four filesystem sites, and the scrubber's find-before-touch
 #     repair) plus the `query_service --soak --pressure` soak, which runs
 #     memory budgets, WAL-disk budgets, disk-full latch/re-arm, and
 #     background scrubbing against racing writers;
-# 11. a repeat pass: the whole suite on a fault-injection build, run 20
+#  9. a repeat pass: the whole suite on a fault-injection build, run 20
 #     times in a row at twice the core count by scripts/stress_ctest.sh,
 #     stopping at the first red run — an interleaving that fails one run in
 #     ten is a defect, and a single green run cannot show it is gone.
@@ -62,25 +62,20 @@ cmake -B build -S . -DTSUNAMI_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-cmake -B build-nosimd -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_DISABLE_SIMD=ON
-cmake --build build-nosimd -j"$(nproc)"
-ctest --test-dir build-nosimd --output-on-failure -j"$(nproc)"
-
-# Third pass: raw-block (no narrowing) build — scans, serialization, and
-# size reporting must hold without the codec layer.
-cmake -B build-noenc -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_DISABLE_ENCODING=ON
-cmake --build build-noenc -j"$(nproc)"
-ctest --test-dir build-noenc --output-on-failure -j"$(nproc)"
-
-# Fourth pass: examples build + degraded-dispatch run.
+# Second pass: examples, then the runtime kill switches over the same
+# binaries — the degraded dispatch path (scalar ops at the auto tier) and
+# raw-block storage (scans, serialization, and size reporting must hold
+# without the codec layer).
 cmake --build build -j"$(nproc)" --target \
   batch_api query_service quickstart sql_shell access_paths index_explorer
 ./build/batch_api
 ./build/query_service
 TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
   -j"$(nproc)"
+TSUNAMI_DISABLE_ENCODING=1 ctest --test-dir build --output-on-failure \
+  -j"$(nproc)"
 
-# Fifth pass: ThreadSanitizer on the scheduler/service suites, fault
+# Third pass: ThreadSanitizer on the scheduler/service suites, fault
 # injection compiled in so the injected-fault soaks run under TSan.
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -89,11 +84,11 @@ cmake --build build-tsan -j"$(nproc)" --target task_scheduler_test \
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
   'task_scheduler_test|query_service_test|exec_test|batch_api_test|ingest_test|wal_test'
 
-# Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
+# Fourth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault
 # injection compiled in. Scoped to the relevant suites: this is a 1-core CI
 # host and a full ASan ctest would double the wall time for no new signal.
-# Any UBSan report fails the run, here and in passes 7, 9 and 10 (the TSan
+# Any UBSan report fails the run, here and in passes 5, 7 and 8 (the TSan
 # and plain builds in between ignore the setting).
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
@@ -105,7 +100,7 @@ cmake --build build-asan -j"$(nproc)" --target \
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
   'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test'
 
-# Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
+# Fifth pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,
 # RSTs, torn frames) and io_test's short-read sweep only compile with fault
 # injection on, so this is where the wire-level error paths run sanitized.
@@ -132,7 +127,7 @@ rm -f serverd-smoke.log
 # predicate inside the binary).
 ./build-asan/query_service --soak --net
 
-# Eighth pass: the concurrent-ingest soak under TSan with the ingest fault
+# Sixth pass: the concurrent-ingest soak under TSan with the ingest fault
 # sites armed — writers, readers, and grid reorganization race while
 # compactions abort (ingest.compact_throw must fail closed) and the
 # snapshot-publish critical section stalls (ingest.swap_delay widens the
@@ -142,7 +137,7 @@ rm -f serverd-smoke.log
 cmake --build build-tsan -j"$(nproc)" --target query_service
 ./build-tsan/query_service --soak --ingest
 
-# Ninth pass: durability under ASan+UBSan+FI. wal_test carries the
+# Seventh pass: durability under ASan+UBSan+FI. wal_test carries the
 # fail-closed fault suite (torn group writes, fsync failures, checkpoint
 # aborts); the --durable soak is the kill -9 test — a forked child ingests
 # with durable acks and armed WAL faults, the parent SIGKILLs it mid-stream,
@@ -153,7 +148,7 @@ cmake --build build-asan -j"$(nproc)" --target wal_test query_service
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R wal_test
 ./build-asan/query_service --soak --durable
 
-# Tenth pass: resource pressure under ASan+UBSan+FI. resource_test sweeps
+# Eighth pass: resource pressure under ASan+UBSan+FI. resource_test sweeps
 # injected fs.enospc over all four filesystem sites (WAL write, WAL fsync,
 # checkpoint rename, manifest write) and requires the latch/drain/re-arm
 # protocol to hold bit-exactly; the --pressure soak then races concurrent
@@ -166,7 +161,7 @@ cmake --build build-asan -j"$(nproc)" --target resource_test query_service
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R resource_test
 ./build-asan/query_service --soak --pressure
 
-# Eleventh pass: repeat the full suite on a fault-injection build. N = 20
+# Ninth pass: repeat the full suite on a fault-injection build. N = 20
 # consecutive green runs of ctest -j$(2*nproc); the first red run fails CI.
 cmake -B build-fi -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_FAULT_INJECTION=ON
 cmake --build build-fi -j"$(nproc)"

@@ -21,7 +21,7 @@ QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
   QueryResult scans =
       ExecuteRangeTasks(store(), plan.tasks, plan.query, ctx);
   MergeQueryResults(plan.query, scans, &result);
-  FinishPlan(plan, &result);
+  FinishPlan(plan, &result, ctx.scan);
   return result;
 }
 

@@ -104,7 +104,7 @@ class ExecContext {
   /// Safe on the scheduler's own workers too: their Wait runs the awaited
   /// job's queued chunks instead of sleeping on them.
   TaskScheduler* scheduler = nullptr;
-  ScanOptions scan;             // Kernel mode and SIMD tier for every scan.
+  ScanOptions scan;             // Scan tier for every scan.
   /// External cancellation flag (borrowed, may be null). Once set, the
   /// remaining work is skipped and unexecuted queries return their
   /// initialized (identity) results.
@@ -216,11 +216,19 @@ class MultiDimIndex {
   ///                              boundaries, partials merged in any order
   ///                          (+) FinishPlan(plan, &result)
   ///
-  /// Default: nothing to finish. Must be thread-safe and must not depend on
-  /// how the task scans were chunked.
-  virtual void FinishPlan(const QueryPlan& plan, QueryResult* result) const {
+  /// Default: nothing to finish. `options` (the caller's ExecContext::scan)
+  /// drive the epilogue's own scans. Must be thread-safe and must not
+  /// depend on how the task scans were chunked.
+  virtual void FinishPlan(const QueryPlan& plan, QueryResult* result,
+                          const ScanOptions& options) const {
     (void)plan;
     (void)result;
+    (void)options;
+  }
+  /// At default scan options. Virtual only for wrappers that override this
+  /// form (perfbench's TimedIndex); indexes override the one above.
+  virtual void FinishPlan(const QueryPlan& plan, QueryResult* result) const {
+    FinishPlan(plan, result, ScanOptions{});
   }
 
   /// The index whose clustered store a plan's tasks actually address: this

@@ -87,7 +87,7 @@ CostWeights CalibrateCostWeights(const ScanOptions& options) {
   const bool encoding = EncodingEnabledByDefault();
   weights.w1 = scan_cost(1 << 20, encoding);
   // Per-width terms: domains sized so every block narrows to 8/16/32-bit
-  // codes. When narrowing is disabled (build define or environment), they
+  // codes. When narrowing is disabled (TSUNAMI_DISABLE_ENCODING), they
   // stay 0 — ScanCostForSpan falls back to the raw-measured w1, which is
   // what execution pays. The 2^20 domain already narrows to u32, so the
   // w1 probe doubles as the u32 term.

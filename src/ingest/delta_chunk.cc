@@ -67,12 +67,12 @@ void DeltaChunk::Scan(const Query& query, QueryResult* result,
     return;
   }
   result->scanned += rows;
-  ScanRaw(rows, query, result);
+  ScanRaw(rows, query, result, options);
 }
 
-void DeltaChunk::ScanRaw(int64_t rows, const Query& query,
-                         QueryResult* result) const {
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
+void DeltaChunk::ScanRaw(int64_t rows, const Query& query, QueryResult* result,
+                         const ScanOptions& options) const {
+  const SimdOps& ops = OpsForTier(options.tier);
   const std::vector<Predicate>& filters = query.filters;
   const int num_aggs = query.num_aggs();
   uint32_t sel[kScanBlockRows];

@@ -76,10 +76,11 @@ class DeltaChunk {
   int64_t MemoryBytes() const;
 
  private:
-  // Columnar compare+compress over the raw rows through the auto-dispatched
-  // SimdOps, kScanBlockRows at a time; bit-identical to a row-at-a-time
-  // loop (sums wrap mod 2^64, min/max are associative).
-  void ScanRaw(int64_t rows, const Query& query, QueryResult* result) const;
+  // Columnar compare+compress over the raw rows through
+  // OpsForTier(options.tier), kScanBlockRows at a time; bit-identical to a
+  // row-at-a-time loop (sums wrap mod 2^64, min/max are associative).
+  void ScanRaw(int64_t rows, const Query& query, QueryResult* result,
+               const ScanOptions& options) const;
 
   const int dims_;
   const int64_t capacity_;

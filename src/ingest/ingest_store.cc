@@ -159,9 +159,9 @@ QueryResult IngestStore::ExecutePlan(const QueryPlan& plan,
   return Execute(plan.query);
 }
 
-void IngestStore::FinishPlan(const QueryPlan& plan,
-                             QueryResult* result) const {
-  if (plan.pin != nullptr) PlanTarget(plan).FinishPlan(plan, result);
+void IngestStore::FinishPlan(const QueryPlan& plan, QueryResult* result,
+                             const ScanOptions& options) const {
+  if (plan.pin != nullptr) PlanTarget(plan).FinishPlan(plan, result, options);
 }
 
 int64_t IngestStore::IndexSizeBytes() const {

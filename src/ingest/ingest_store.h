@@ -139,7 +139,8 @@ class IngestStore : public MultiDimIndex {
   QueryPlan Prepare(const Query& query) const override;
   QueryResult ExecutePlan(const QueryPlan& plan,
                           ExecContext& ctx) const override;
-  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
+  void FinishPlan(const QueryPlan& plan, QueryResult* result,
+                  const ScanOptions& options) const override;
   /// The snapshot the plan pinned: its store is what the tasks address.
   const MultiDimIndex& PlanTarget(const QueryPlan& plan) const override;
   uint64_t StoreVersion() const override { return snapshots_.version(); }

@@ -34,8 +34,9 @@ QueryPlan ColumnStoreSnapshot::Prepare(const Query& query) const {
 }
 
 void ColumnStoreSnapshot::FinishPlan(const QueryPlan& plan,
-                                     QueryResult* result) const {
-  for (const auto& chunk : chunks_) chunk->Scan(plan.query, result);
+                                     QueryResult* result,
+                                     const ScanOptions& options) const {
+  for (const auto& chunk : chunks_) chunk->Scan(plan.query, result, options);
 }
 
 int64_t ColumnStoreSnapshot::IndexSizeBytes() const {

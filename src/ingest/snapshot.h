@@ -52,7 +52,8 @@ class ColumnStoreSnapshot : public MultiDimIndex {
   std::string Name() const override;
   QueryResult Execute(const Query& query) const override;
   QueryPlan Prepare(const Query& query) const override;
-  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
+  void FinishPlan(const QueryPlan& plan, QueryResult* result,
+                  const ScanOptions& options) const override;
   uint64_t StoreVersion() const override { return version_; }
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return index_->store(); }

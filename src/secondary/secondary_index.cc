@@ -244,7 +244,9 @@ QueryPlan CorrelationSecondaryIndex::Prepare(const Query& query) const {
 }
 
 void CorrelationSecondaryIndex::FinishPlan(const QueryPlan& plan,
-                                           QueryResult* result) const {
+                                           QueryResult* result,
+                                           const ScanOptions& options) const {
+  (void)options;  // Point probes: there is no scan for a tier to pick.
   const Query& query = plan.query;
   const Predicate* key_filter = query.FilterOn(key_dim_);
   if (key_filter == nullptr || segments_.empty()) return;

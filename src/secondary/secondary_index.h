@@ -99,7 +99,8 @@ class CorrelationSecondaryIndex : public MultiDimIndex {
   /// Probes the outlier rows no planned range covers — the non-range half
   /// of a Hermit plan, run by base ExecutePlan and by QueryService's
   /// chunked jobs after the task scans.
-  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
+  void FinishPlan(const QueryPlan& plan, QueryResult* result,
+                  const ScanOptions& options) const override;
 
   /// Segment boundaries + models + outlier row ids: model-sized.
   int64_t IndexSizeBytes() const override;

@@ -542,7 +542,7 @@ QueryResult QueryService::Await(Ticket ticket, AwaitInfo* info) {
   for (const QueryResult& partial : pending->partials) {
     MergeQueryResults(query, partial, &result);
   }
-  pending->target->FinishPlan(*pending->plan, &result);
+  pending->target->FinishPlan(*pending->plan, &result, pending->ctx.scan);
   return result;
 }
 

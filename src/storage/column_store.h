@@ -31,8 +31,8 @@ class ColumnStore {
   ColumnStore() = default;
 
   /// Materializes the dataset with rows in their original order. `encode`
-  /// (default: on, unless TSUNAMI_DISABLE_ENCODING is set at build or in
-  /// the environment) controls per-block code narrowing; false pins every
+  /// (default: on, unless TSUNAMI_DISABLE_ENCODING is set in the
+  /// environment) controls per-block code narrowing; false pins every
   /// block to raw 64-bit storage. Both settings produce bit-identical
   /// query results — encoding only changes the physical representation.
   explicit ColumnStore(const Dataset& data,
@@ -74,9 +74,9 @@ class ColumnStore {
   /// Scans physical rows [begin, end), accumulating the query's aggregate
   /// over rows matching every filter into `out`. Updates out->scanned /
   /// matched. If `exact` is true, all rows in the range are known to match
-  /// and per-row filter checks are skipped. Runs the vectorized block
-  /// kernel by default; pass ScanOptions{ScanOptions::kScalar} for the
-  /// row-at-a-time reference path (both produce bit-identical results).
+  /// and per-row filter checks are skipped. Runs the block kernel at the
+  /// best tier by default; ScanOptions{SimdTier::kReference} selects the
+  /// row-at-a-time reference path (all tiers give bit-identical results).
   void ScanRange(int64_t begin, int64_t end, const Query& query, bool exact,
                  QueryResult* out, const ScanOptions& options = {}) const;
 

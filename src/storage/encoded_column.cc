@@ -10,15 +10,11 @@
 namespace tsunami {
 
 bool EncodingEnabledByDefault() {
-#if defined(TSUNAMI_DISABLE_ENCODING)
-  return false;
-#else
   static const bool enabled = [] {
     const char* disable = std::getenv("TSUNAMI_DISABLE_ENCODING");
     return disable == nullptr || disable[0] == '\0' || disable[0] == '0';
   }();
   return enabled;
-#endif
 }
 
 namespace {
@@ -69,9 +65,6 @@ bool GetCodeArray(BinaryReader* reader, uint64_t expected_elems,
 }  // namespace
 
 void EncodedColumn::Encode(const std::vector<Value>& values, bool narrow) {
-#if defined(TSUNAMI_DISABLE_ENCODING)
-  narrow = false;  // Build-level kill switch: raw blocks only.
-#endif
   rows_ = static_cast<int64_t>(values.size());
   widths_.clear();
   refs_.clear();

@@ -71,10 +71,10 @@ inline CodeRange TranslateToCodeSpace(Value lo, Value hi, Value ref,
   return {CodeRange::kCompare, ulo, uhi};
 }
 
-/// True unless narrowing is disabled for this build
-/// (-DTSUNAMI_DISABLE_ENCODING=ON) or process (the TSUNAMI_DISABLE_ENCODING
-/// environment variable, CI's raw-block escape hatch); cached after the
-/// first call. Benches override per store via the ColumnStore constructors.
+/// True unless the TSUNAMI_DISABLE_ENCODING environment variable is set
+/// non-empty/non-zero (the runtime raw-block kill switch); cached after the
+/// first call. Tests, benches and cost calibration override it per store
+/// via the ColumnStore constructors' `encode` flag.
 bool EncodingEnabledByDefault();
 
 /// One column stored as per-block codes. Blocks of one width live
@@ -96,9 +96,9 @@ class EncodedColumn {
   EncodedColumn() = default;
 
   /// Builds the encoded form of `values`. `narrow` = false pins every
-  /// block to raw 64-bit storage (the TSUNAMI_DISABLE_ENCODING path and
-  /// the benches' A/B baseline); decoding is unaffected, so stores built
-  /// either way serve the same API.
+  /// block to raw 64-bit storage (what a store built with encode = false
+  /// gets, and the benches' A/B baseline); decoding is unaffected, so
+  /// stores built either way serve the same API.
   void Encode(const std::vector<Value>& values, bool narrow);
 
   int64_t rows() const { return rows_; }

@@ -245,15 +245,11 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
                       bool exact, QueryResult* out,
                       const ScanOptions& options) const {
   if (begin >= end) return;
-  if (options.mode == ScanMode::kScalar) {
+  if (options.tier == SimdTier::kReference) {
     ScanScalar(begin, end, query, exact, out);
     return;
   }
-  // kVectorized is pinned to the scalar-branchless ops; kSimd resolves the
-  // requested tier (kAuto -> best supported) through runtime dispatch.
-  const SimdOps& ops = options.mode == ScanMode::kSimd
-                           ? OpsForTier(options.tier)
-                           : ScalarSimdOps();
+  const SimdOps& ops = OpsForTier(options.tier);
   if (exact) {
     ScanExactVectorized(begin, end, query, ops, out);
   } else {
@@ -296,7 +292,7 @@ void ScanKernel::ScanBatch(std::span<const RangeTask> tasks,
 // The pre-kernel reference path: row-at-a-time with early exit. Kept
 // verbatim (modulo the multi-aggregate loop, which runs once for
 // single-aggregate queries, and per-row decode through EncodedColumn::Get)
-// so ScanMode::kScalar A/Bs against exactly the old behavior.
+// so SimdTier::kReference A/Bs against exactly the old behavior.
 void ScanKernel::ScanScalar(int64_t begin, int64_t end, const Query& query,
                             bool exact, QueryResult* out) const {
   const std::vector<EncodedColumn>& columns = *columns_;

@@ -7,14 +7,14 @@
 // checks (fully covered by every filter, with SUM served straight from the
 // block sums).
 //
-// The kernel's inner loops (predicate compare+compress, selection-driven
-// aggregation, run folds, zone-map builds) come in three tiers: the
-// row-at-a-time reference path (ScanMode::kScalar), the scalar-branchless
-// block kernel (kVectorized), and lane-parallel SIMD (kSimd — AVX-512,
-// AVX2, or NEON, chosen at startup by runtime CPU dispatch, falling back
-// to the branchless loops on unsupported hardware; see simd_dispatch.h).
-// All tiers produce bit-identical QueryResults; ScanOptions can force any
-// tier for tests and benchmarks.
+// One runtime selector, ScanOptions::tier, picks how every scan runs: the
+// row-at-a-time reference loop (SimdTier::kReference, the tests' oracle),
+// or the block kernel with one tier's inner loops (predicate compare+
+// compress, selection-driven aggregation, run folds, zone-map builds):
+// the portable scalar-branchless loops (kNone) or lane-parallel SIMD
+// (AVX-512, AVX2 or NEON). The default, kAuto, is the best tier runtime CPU
+// dispatch finds (see simd_dispatch.h). All tiers produce bit-identical
+// QueryResults.
 #ifndef TSUNAMI_STORAGE_SCAN_KERNEL_H_
 #define TSUNAMI_STORAGE_SCAN_KERNEL_H_
 
@@ -35,21 +35,15 @@ struct SimdOps;
 // encoded_column.h, which this header re-exports: the zone maps and the
 // per-block codecs share one block grid by construction.
 
-enum class ScanMode {
-  kScalar,      // Row-at-a-time loop with early exit (the pre-kernel path).
-  kVectorized,  // Block-at-a-time selection-vector kernel with zone maps.
-  kSimd,        // kVectorized with SIMD inner loops (runtime-dispatched).
-};
-
 /// Rows between cooperative-stop probes inside a batched scan: frequent
 /// enough that a deadline lands within tens of microseconds even on one
 /// giant range, rare enough that the probe (a clock read at worst) is noise.
 inline constexpr int64_t kScanStopProbeRows = 16 * 1024;
 
-/// Per-scan execution options. Defaults to the SIMD kernel at the best
-/// runtime-supported tier; `tier` pins a specific instruction set when
-/// `mode` is kSimd (an unsupported tier degrades to the scalar ops, which
-/// is exactly the kVectorized behavior).
+/// Per-scan execution options. `tier` is the one scan selector: it defaults
+/// to the block kernel at the best runtime-supported tier; kReference runs
+/// the row-at-a-time loop, and any other tier pins an instruction set (an
+/// unsupported one degrades to the kNone scalar ops).
 ///
 /// `stop_probe` is the cooperative-cancellation seam: when non-null,
 /// ScanBatch slices ranges at block-aligned kScanStopProbeRows boundaries
@@ -60,11 +54,6 @@ inline constexpr int64_t kScanStopProbeRows = 16 * 1024;
 /// integer aggregation is associative, so a probed scan that is never
 /// stopped stays bit-identical to an unprobed one.
 struct ScanOptions {
-  static constexpr ScanMode kScalar = ScanMode::kScalar;
-  static constexpr ScanMode kVectorized = ScanMode::kVectorized;
-  static constexpr ScanMode kSimd = ScanMode::kSimd;
-
-  ScanMode mode = ScanMode::kSimd;
   SimdTier tier = SimdTier::kAuto;
   bool (*stop_probe)(const void*) = nullptr;  // Borrowed; null = never stop.
   const void* stop_arg = nullptr;
@@ -128,7 +117,7 @@ class ZoneMaps {
 /// All kernels accumulate into the same QueryResult fields with identical
 /// semantics: `scanned` counts the rows the range was responsible for (not
 /// the rows actually touched after block skipping), so results are
-/// bit-for-bit comparable across modes, tiers, and codecs.
+/// bit-for-bit comparable across tiers and codecs.
 class ScanKernel {
  public:
   ScanKernel(const std::vector<EncodedColumn>& columns, const ZoneMaps& zones)
@@ -156,8 +145,8 @@ class ScanKernel {
   void ScanExactVectorized(int64_t begin, int64_t end, const Query& query,
                            const SimdOps& ops, QueryResult* out) const;
 
-  // Integrity gate, shared by all three scan modes so they skip the same
-  // blocks: true when every column this query must read — filter dims for
+  // Integrity gate, shared by every tier so they skip the same blocks:
+  // true when every column this query must read — filter dims for
   // non-exact ranges, plus non-COUNT aggregate columns — is readable
   // (checksum-verified, not quarantined) in `block`. On failure the block
   // is counted into out->quarantined_blocks and the result flagged

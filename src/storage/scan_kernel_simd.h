@@ -3,9 +3,9 @@
 // driven aggregation tails, contiguous-run folds, zone-map block stats) is
 // reached through this table of function pointers, so one kernel body
 // serves every instruction-set tier. Each tier lives in its own
-// translation unit compiled with that tier's arch flags; a tier that was
-// not compiled (wrong architecture, TSUNAMI_DISABLE_SIMD) exposes a null
-// accessor and the dispatcher falls back to the scalar table.
+// translation unit compiled with that tier's arch flags; a tier whose
+// architecture the build does not target exposes a null accessor and the
+// dispatcher falls back to the scalar table (OpsForTier(SimdTier::kNone)).
 //
 // Every implementation must be bit-for-bit equivalent to the scalar table:
 // int64 addition is associative modulo 2^64 and min/max are associative,
@@ -73,12 +73,8 @@ struct SimdOps {
                       int64_t* sum);
 };
 
-/// The portable reference table (identical to the PR-1 scalar-branchless
-/// loops); always available.
-const SimdOps& ScalarSimdOps();
-
-/// The individual scalar reference loops behind ScalarSimdOps, exposed so
-/// per-tier tables can point at them for passes they do not accelerate
+/// The individual scalar loops behind OpsForTier(SimdTier::kNone), exposed
+/// so per-tier tables can point at them for passes they do not accelerate
 /// (e.g. NEON's gathered passes) instead of keeping drift-prone copies.
 namespace scalar_ops {
 int FirstPass(const Value* col, int count, Value lo, Value hi, uint32_t* sel);

@@ -12,7 +12,7 @@
 // CPUID check in simd_dispatch.cc.
 #include "src/storage/scan_kernel_simd.h"
 
-#if defined(__AVX2__) && !defined(TSUNAMI_DISABLE_SIMD)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -430,7 +430,7 @@ const SimdOps* Avx2SimdOps() { return &kAvx2Ops; }
 
 }  // namespace tsunami
 
-#else  // !__AVX2__ || TSUNAMI_DISABLE_SIMD
+#else  // !__AVX2__
 
 namespace tsunami {
 const SimdOps* Avx2SimdOps() { return nullptr; }

@@ -13,8 +13,7 @@
 // place compiled with -mavx512f -mavx512vl -mavx512bw (see CMakeLists.txt).
 #include "src/storage/scan_kernel_simd.h"
 
-#if defined(__AVX512F__) && defined(__AVX512VL__) && defined(__AVX512BW__) && \
-    !defined(TSUNAMI_DISABLE_SIMD)
+#if defined(__AVX512F__) && defined(__AVX512VL__) && defined(__AVX512BW__)
 
 #include <immintrin.h>
 
@@ -334,7 +333,7 @@ const SimdOps* Avx512SimdOps() { return &kAvx512Ops; }
 
 }  // namespace tsunami
 
-#else  // !AVX512F/VL || TSUNAMI_DISABLE_SIMD
+#else  // !AVX512F/VL/BW
 
 namespace tsunami {
 const SimdOps* Avx512SimdOps() { return nullptr; }

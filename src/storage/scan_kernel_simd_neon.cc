@@ -12,8 +12,7 @@
 // implementations keeps the tiers drift-proof by construction.
 #include "src/storage/scan_kernel_simd.h"
 
-#if defined(__aarch64__) && defined(__ARM_NEON) && \
-    !defined(TSUNAMI_DISABLE_SIMD)
+#if defined(__aarch64__) && defined(__ARM_NEON)
 
 #include <arm_neon.h>
 
@@ -217,7 +216,7 @@ const SimdOps* NeonSimdOps() { return &kNeonOps; }
 
 }  // namespace tsunami
 
-#else  // !__aarch64__ || TSUNAMI_DISABLE_SIMD
+#else  // !__aarch64__
 
 namespace tsunami {
 const SimdOps* NeonSimdOps() { return nullptr; }

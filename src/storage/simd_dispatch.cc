@@ -170,12 +170,12 @@ constexpr SimdOps kScalarOps = {
 
 }  // namespace
 
-const SimdOps& ScalarSimdOps() { return kScalarOps; }
-
 const char* SimdTierName(SimdTier tier) {
   switch (tier) {
     case SimdTier::kAuto:
       return "auto";
+    case SimdTier::kReference:
+      return "reference";
     case SimdTier::kNone:
       return "scalar";
     case SimdTier::kNeon:
@@ -191,6 +191,7 @@ const char* SimdTierName(SimdTier tier) {
 bool SimdTierSupported(SimdTier tier) {
   switch (tier) {
     case SimdTier::kAuto:
+    case SimdTier::kReference:
     case SimdTier::kNone:
       return true;
     case SimdTier::kNeon:

@@ -152,8 +152,9 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
     }
     for (int threads : {0, 1, 2, 4}) {
       TaskScheduler scheduler(threads);
-      for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
-        ExecContext ctx(&scheduler, ScanOptions{mode});
+      for (SimdTier tier : ScanTierSweep()) {
+        SCOPED_TRACE(SimdTierName(tier));
+        ExecContext ctx(&scheduler, ScanOptions{tier});
         std::vector<QueryResult> batch = RunWorkload(*index, shuffled, ctx);
         std::vector<QueryPlan> plans;
         for (const Query& q : shuffled) plans.push_back(index->Prepare(q));
@@ -238,19 +239,18 @@ TEST_F(BatchApiTest, KernelSinglePassComputesFourAggregates) {
     multi.SetAggregates(specs);
     int64_t begin = rng.NextBelow(store.size() / 2);
     int64_t end = begin + 1 + rng.NextBelow(store.size() - begin - 1);
-    for (ScanMode mode :
-         {ScanMode::kScalar, ScanMode::kVectorized, ScanMode::kSimd}) {
+    for (SimdTier tier : ScanTierSweep()) {
       for (bool exact : {false, true}) {
         QueryResult got = InitResult(multi);
-        store.ScanRange(begin, end, multi, exact, &got, ScanOptions{mode});
+        store.ScanRange(begin, end, multi, exact, &got, ScanOptions{tier});
         for (size_t a = 0; a < specs.size(); ++a) {
           Query single = multi;
           single.SetAggregates({specs[a]});
           QueryResult want = InitResult(single);
           store.ScanRange(begin, end, single, exact, &want,
-                          ScanOptions{mode});
+                          ScanOptions{tier});
           EXPECT_EQ(got.agg_value(static_cast<int>(a)), want.agg)
-              << "mode " << static_cast<int>(mode) << " exact " << exact
+              << SimdTierName(tier) << " exact " << exact
               << " agg " << a;
           EXPECT_EQ(got.matched, want.matched);
         }
@@ -348,12 +348,15 @@ TEST_F(BatchApiTest, DeltaChunksCoveredByBatchPath) {
       StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
   FullScanIndex reference(all_rows);
   TaskScheduler scheduler(2);
-  ExecContext ctx(&scheduler);
-  std::vector<QueryResult> batch = RunWorkload(*store, workload_, ctx);
-  for (size_t i = 0; i < workload_.size(); ++i) {
-    ExpectBitIdentical(batch[i], store->Execute(workload_[i]),
-                       "delta query " + std::to_string(i));
-    EXPECT_EQ(batch[i].agg, reference.Execute(workload_[i]).agg);
+  for (SimdTier tier : ScanTierSweep()) {
+    SCOPED_TRACE(SimdTierName(tier));
+    ExecContext ctx(&scheduler, ScanOptions{tier});
+    std::vector<QueryResult> batch = RunWorkload(*store, workload_, ctx);
+    for (size_t i = 0; i < workload_.size(); ++i) {
+      ExpectBitIdentical(batch[i], store->Execute(workload_[i]),
+                         "delta query " + std::to_string(i));
+      EXPECT_EQ(batch[i].agg, reference.Execute(workload_[i]).agg);
+    }
   }
 }
 
@@ -413,14 +416,15 @@ TEST_F(BatchApiTest, CalibrationAcceptsForcedTier) {
   // The calibration path must honor forced scan options (the ScanOptions
   // plumbing gap): a forced-tier calibration runs that kernel and still
   // produces sane positive weights.
-  CostWeights simd = CalibrateCostWeights(ScanOptions{ScanMode::kSimd});
-  CostWeights scalar = CalibrateCostWeights(ScanOptions{ScanMode::kScalar});
+  CostWeights simd = CalibrateCostWeights(ScanOptions{SimdTier::kAuto});
+  CostWeights scalar =
+      CalibrateCostWeights(ScanOptions{SimdTier::kReference});
   EXPECT_GT(simd.w0, 0.0);
   EXPECT_GT(simd.w1, 0.0);
   EXPECT_GT(scalar.w0, 0.0);
   EXPECT_GT(scalar.w1, 0.0);
   ExecContext ctx;
-  ctx.scan = ScanOptions{ScanMode::kVectorized};
+  ctx.scan = ScanOptions{SimdTier::kNone};
   CostWeights vec = CalibrateCostWeights(ctx);
   EXPECT_GT(vec.w1, 0.0);
 }

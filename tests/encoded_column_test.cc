@@ -5,6 +5,7 @@
 // (including predicates empty after translation) — and must round-trip
 // through serialization verbatim.
 #include <cstdint>
+#include <cstdlib>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -177,7 +178,6 @@ TEST(EncodedColumnTest, RoundTripsValuesAndPicksExpectedWidths) {
   }
   std::vector<Value> all = col.DecodeAll();
   EXPECT_EQ(all, values);
-#if !defined(TSUNAMI_DISABLE_ENCODING)
   EXPECT_EQ(col.block(0).width, 1);
   EXPECT_EQ(col.block(1).width, 2);
   EXPECT_EQ(col.block(2).width, 4);
@@ -192,7 +192,6 @@ TEST(EncodedColumnTest, RoundTripsValuesAndPicksExpectedWidths) {
   // Narrowing must actually shrink: 2 blocks at 1 B + 1 at 2 B + 1 at 4 B
   // + 1 raw block + metadata, against 8 B/row raw.
   EXPECT_LT(col.SizeBytes(), rows * static_cast<int64_t>(sizeof(Value)));
-#endif
   // The raw-pinned encoding serves identical values.
   EncodedColumn raw;
   raw.Encode(values, /*narrow=*/false);
@@ -278,7 +277,7 @@ void CheckNarrowPasses(int (*first)(const T*, int, T, T, uint32_t*),
 }
 
 TEST(EncodedColumnTest, NarrowOpsMatchScalarAtEveryLength) {
-  const SimdOps& ref = ScalarSimdOps();
+  const SimdOps& ref = OpsForTier(SimdTier::kNone);
   Rng rng(7003);
   for (SimdTier tier :
        {SimdTier::kNeon, SimdTier::kAvx2, SimdTier::kAvx512}) {
@@ -305,9 +304,9 @@ TEST(EncodedColumnTest, EncodedScansBitIdenticalToRawAcrossTiers) {
   ColumnStore encoded(data, /*encode=*/true);
   ColumnStore raw(data, /*encode=*/false);
   ASSERT_EQ(encoded.size(), raw.size());
-  const SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kNone,
-                             SimdTier::kNeon, SimdTier::kAvx2,
-                             SimdTier::kAvx512};
+  const SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kReference,
+                             SimdTier::kNone, SimdTier::kNeon,
+                             SimdTier::kAvx2, SimdTier::kAvx512};
   Rng rng(7005);
   for (int trial = 0; trial < 200; ++trial) {
     AggKind agg = kAggs[trial % 5];
@@ -329,11 +328,11 @@ TEST(EncodedColumnTest, EncodedScansBitIdenticalToRawAcrossTiers) {
     const bool exact = trial % 7 == 0;
     QueryResult scalar_raw = InitResult(q);
     raw.ScanRange(begin, end, q, exact, &scalar_raw,
-                  ScanOptions{ScanOptions::kScalar});
+                  ScanOptions{SimdTier::kReference});
+    // Every tier over encoded blocks — the portable block kernel (kNone)
+    // and the reference loop included — and over raw blocks.
     for (SimdTier tier : kTiers) {
-      ScanOptions options;
-      options.mode = ScanMode::kSimd;
-      options.tier = tier;
+      const ScanOptions options{tier};
       QueryResult got = InitResult(q);
       encoded.ScanRange(begin, end, q, exact, &got, options);
       ExpectSameResult(got, scalar_raw, SimdTierName(tier));
@@ -341,11 +340,6 @@ TEST(EncodedColumnTest, EncodedScansBitIdenticalToRawAcrossTiers) {
       raw.ScanRange(begin, end, q, exact, &raw_simd, options);
       ExpectSameResult(raw_simd, scalar_raw, "raw store");
     }
-    // The vectorized (scalar-branchless) mode over encoded blocks too.
-    QueryResult vec = InitResult(q);
-    encoded.ScanRange(begin, end, q, exact, &vec,
-                      ScanOptions{ScanOptions::kVectorized});
-    ExpectSameResult(vec, scalar_raw, "vectorized");
   }
 }
 
@@ -390,7 +384,7 @@ TEST(EncodedColumnTest, UnalignedRangesAndTranslationBoundaries) {
         q.filters = filters;
         QueryResult want = InitResult(q);
         raw.ScanRange(begin, end, q, /*exact=*/false, &want,
-                      ScanOptions{ScanOptions::kScalar});
+                      ScanOptions{SimdTier::kReference});
         QueryResult got = InitResult(q);
         encoded.ScanRange(begin, end, q, /*exact=*/false, &got);
         ExpectSameResult(got, want, "encoded simd");
@@ -417,17 +411,38 @@ TEST(EncodedColumnTest, BatchedScansAndDataSize) {
     }
     QueryResult got = InitResult(q), want = InitResult(q);
     encoded.ScanRanges(tasks, q, &got);
-    raw.ScanRanges(tasks, q, &want, ScanOptions{ScanOptions::kScalar});
+    raw.ScanRanges(tasks, q, &want, ScanOptions{SimdTier::kReference});
     ExpectSameResult(got, want, "batch");
   }
-#if !defined(TSUNAMI_DISABLE_ENCODING)
   // Mixed-width data narrows 3 of every 4 blocks: true stored bytes must
   // undercut the logical 8 B/value footprint; the raw store cannot.
   const int64_t logical =
       encoded.size() * kDims * static_cast<int64_t>(sizeof(Value));
   EXPECT_LT(encoded.DataSizeBytes(), logical);
   EXPECT_GE(raw.DataSizeBytes(), logical);
-#endif
+}
+
+// The runtime kill switch must take effect: a default-constructed store
+// keeps every block raw when TSUNAMI_DISABLE_ENCODING is set, and narrows
+// the narrow-range blocks otherwise.
+TEST(EncodedColumnTest, DefaultStoreFollowsEncodingSwitch) {
+  const char* disable = std::getenv("TSUNAMI_DISABLE_ENCODING");
+  EXPECT_EQ(EncodingEnabledByDefault(),
+            disable == nullptr || disable[0] == '\0' || disable[0] == '0');
+  const int kDims = 3;
+  ColumnStore store(MakeMixedWidthData(4 * kScanBlockRows, kDims, 7010));
+  int64_t widths[4] = {0, 0, 0, 0};
+  for (int d = 0; d < kDims; ++d) store.encoded(d).WidthHistogram(widths);
+  const int64_t blocks = widths[0] + widths[1] + widths[2] + widths[3];
+  ASSERT_EQ(blocks, 4 * kDims);
+  if (EncodingEnabledByDefault()) {
+    EXPECT_EQ(widths[0], kDims);  // One block per width class per column.
+    EXPECT_EQ(widths[1], kDims);
+    EXPECT_EQ(widths[2], kDims);
+    EXPECT_EQ(widths[3], kDims);
+  } else {
+    EXPECT_EQ(widths[3], blocks);
+  }
 }
 
 TEST(EncodedColumnTest, StoreSerializeRoundTripPreservesEncodedBlocks) {

@@ -127,15 +127,18 @@ TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaChunks) {
       StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
   FullScanIndex reference(all_rows);
   TaskScheduler scheduler(2);
-  ExecContext ctx(&scheduler);
-  for (const Query& q : workload_) {
-    QueryResult serial = store->Execute(q);
-    QueryResult parallel = store->ExecutePlan(store->Prepare(q), ctx);
-    EXPECT_EQ(parallel.agg, serial.agg);
-    EXPECT_EQ(parallel.matched, serial.matched);
-    EXPECT_EQ(parallel.scanned, serial.scanned);
-    EXPECT_EQ(parallel.cell_ranges, serial.cell_ranges);
-    EXPECT_EQ(parallel.agg, reference.Execute(q).agg);
+  for (SimdTier tier : ScanTierSweep()) {
+    SCOPED_TRACE(SimdTierName(tier));
+    ExecContext ctx(&scheduler, ScanOptions{tier});
+    for (const Query& q : workload_) {
+      QueryResult serial = store->Execute(q);
+      QueryResult parallel = store->ExecutePlan(store->Prepare(q), ctx);
+      EXPECT_EQ(parallel.agg, serial.agg);
+      EXPECT_EQ(parallel.matched, serial.matched);
+      EXPECT_EQ(parallel.scanned, serial.scanned);
+      EXPECT_EQ(parallel.cell_ranges, serial.cell_ranges);
+      EXPECT_EQ(parallel.agg, reference.Execute(q).agg);
+    }
   }
 }
 

@@ -727,8 +727,9 @@ TEST_F(SnapshotTest, SnapshotIsCompact) {
                       static_cast<int64_t>(sizeof(Value));
   EXPECT_LT(static_cast<int64_t>(std::filesystem::file_size(path_)),
             raw_bytes);
-  // In-memory narrowing only shrinks the store when it is enabled (the
-  // TSUNAMI_DISABLE_ENCODING configuration stores raw blocks + metadata).
+  // In-memory narrowing only shrinks the store when it is enabled (under
+  // the TSUNAMI_DISABLE_ENCODING environment variable the store holds raw
+  // blocks + metadata).
   if (EncodingEnabledByDefault()) {
     EXPECT_LE(index_->store().DataSizeBytes(), raw_bytes);
   }

@@ -133,18 +133,19 @@ TEST_F(QueryServiceTest, SubmitAwaitBitIdenticalToExecuteAndExecuteBatch) {
   for (const auto& index : roster) {
     Workload batch = SkewedBatch(rng, 24);
     for (int threads : {0, 2, 4}) {
-      for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
+      for (SimdTier tier : ScanTierSweep()) {
+        SCOPED_TRACE(SimdTierName(tier));
         ServiceOptions options;
         options.threads = threads;
         QueryService service(index.get(), options);
         SubmitOptions sub;
-        sub.scan = ScanOptions{mode};
+        sub.scan = ScanOptions{tier};
         std::vector<QueryService::Admission> tickets =
             service.SubmitBatch(std::span<const Query>(batch), sub);
         ASSERT_EQ(tickets.size(), batch.size());
         // Also the ExecuteBatch path, as the second reference.
         TaskScheduler scheduler(threads);
-        ExecContext ctx(&scheduler, ScanOptions{mode});
+        ExecContext ctx(&scheduler, ScanOptions{tier});
         std::vector<QueryResult> via_batch = index->ExecuteBatch(
             std::span<const Query>(batch.data(), batch.size()), ctx);
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -193,17 +194,37 @@ TEST_F(QueryServiceTest, IngestDeltaChunksReachServicePath) {
   std::unique_ptr<ingest::IngestStore> store =
       StoreWithSealedAndOpenChunks(data_, workload_, options, &all_rows);
   FullScanIndex reference(all_rows);
+  EpilogueTierSpy spy(store.get());
   ServiceOptions service_options;
   service_options.threads = 2;
   QueryService service(store.get(), service_options);
+  QueryService spied(&spy, service_options);
+  TaskScheduler scheduler(2);
   Rng rng(94);
   Workload batch = SkewedBatch(rng, 8);
-  for (const Query& q : batch) {
-    const QueryResult got = service.Run(q);
-    ExpectBitIdentical(got, store->Execute(q), "delta query");
-    const QueryResult want = reference.Execute(q);
-    EXPECT_EQ(got.agg, want.agg);
-    EXPECT_EQ(got.matched, want.matched);
+  // A forced tier must reach the sealed and open chunks through both
+  // executors, bit-identical to Execute and to a full scan at every tier.
+  for (SimdTier tier : ScanTierSweep()) {
+    SCOPED_TRACE(SimdTierName(tier));
+    SubmitOptions sub;
+    sub.scan = ScanOptions{tier};
+    ExecContext ctx(&scheduler, ScanOptions{tier});
+    for (const Query& q : batch) {
+      const QueryResult want = store->Execute(q);
+      const QueryResult full = reference.Execute(q);
+      const QueryResult got = service.Run(q, sub);
+      ExpectBitIdentical(got, want, "delta query (service)");
+      EXPECT_EQ(got.agg, full.agg);
+      EXPECT_EQ(got.matched, full.matched);
+      const QueryResult planned = store->ExecutePlan(store->Prepare(q), ctx);
+      ExpectBitIdentical(planned, want, "delta query (ExecutePlan)");
+      EXPECT_EQ(planned.agg, full.agg);
+      ExpectBitIdentical(spied.Run(q, sub), want, "spied service");
+      EXPECT_EQ(spy.last_tier(), tier) << "service epilogue";
+      ExpectBitIdentical(spy.ExecutePlan(spy.Prepare(q), ctx), want,
+                         "spied ExecutePlan");
+      EXPECT_EQ(spy.last_tier(), tier) << "ExecutePlan epilogue";
+    }
   }
 }
 
@@ -378,7 +399,7 @@ TEST_F(QueryServiceTest, CancelLandsMidScanInsideOneGiantRange) {
 
 TEST_F(QueryServiceTest, ProbedUncancelledScanIsBitIdentical) {
   // The probe slices the scan into sub-ranges; when the probe never fires,
-  // the sliced scan must equal the unsliced one bit for bit, in every mode.
+  // the sliced scan must equal the unsliced one bit for bit, in every tier.
   ColumnStore store(data_);
   std::atomic<bool> cancel{false};
   ExecContext ctx;
@@ -386,18 +407,17 @@ TEST_F(QueryServiceTest, ProbedUncancelledScanIsBitIdentical) {
   Rng rng(97);
   for (int trial = 0; trial < 6; ++trial) {
     Query q = trial % 2 == 0 ? Region() : Needle(rng);
-    for (ScanMode mode :
-         {ScanMode::kScalar, ScanMode::kVectorized, ScanMode::kSimd}) {
+    for (SimdTier tier : ScanTierSweep()) {
       for (bool exact : {false, true}) {
-        ctx.scan = ScanOptions{mode};
+        ctx.scan = ScanOptions{tier};
         RangeTask whole{0, store.size(), exact};
         QueryResult probed = InitResult(q);
         store.ScanRanges({&whole, 1}, q, &probed, ctx.CancellableScan());
         QueryResult plain = InitResult(q);
-        store.ScanRanges({&whole, 1}, q, &plain, ScanOptions{mode});
+        store.ScanRanges({&whole, 1}, q, &plain, ScanOptions{tier});
         ExpectBitIdentical(probed, plain,
-                           "mode " + std::to_string(static_cast<int>(mode)) +
-                               " exact " + std::to_string(exact));
+                           std::string(SimdTierName(tier)) + " exact " +
+                               std::to_string(exact));
       }
     }
   }
@@ -721,25 +741,24 @@ TEST_F(QueryServiceTest, QuarantinedBlockDegradesInsteadOfWrongOrCrash) {
   QueryService service(&index, options);
 
   // A SUM over the quarantined column: the answer is degraded — flagged,
-  // not wrong-and-silent, not a crash — and identical across kernel modes.
+  // not wrong-and-silent, not a crash — and identical across scan tiers.
   Query sum;
   sum.filters.push_back(Predicate{0, 0, 40000});
   sum.SetAggregates({{AggKind::kSum, 1}});
   QueryResult got_default;
-  for (ScanMode mode : {ScanMode::kSimd, ScanMode::kVectorized,
-                        ScanMode::kScalar}) {
+  for (SimdTier tier : ScanTierSweep()) {
     SubmitOptions sub;
-    sub.scan = ScanOptions{mode};
+    sub.scan = ScanOptions{tier};
     AwaitInfo info;
     QueryResult got = service.Await(service.Submit(sum, sub), &info);
     EXPECT_EQ(info.outcome, QueryOutcome::kCompleted);
     EXPECT_TRUE(got.degraded);
     EXPECT_GE(got.quarantined_blocks, 1);
-    if (mode == ScanMode::kSimd) {
+    if (tier == SimdTier::kAuto) {
       got_default = got;
     } else {
-      EXPECT_EQ(got.agg, got_default.agg) << "mode diverged";
-      EXPECT_EQ(got.matched, got_default.matched) << "mode diverged";
+      EXPECT_EQ(got.agg, got_default.agg) << SimdTierName(tier);
+      EXPECT_EQ(got.matched, got_default.matched) << SimdTierName(tier);
       EXPECT_EQ(got.quarantined_blocks, got_default.quarantined_blocks);
     }
   }

@@ -1,8 +1,10 @@
-// Cross-checks for the vectorized block-based scan kernel: the vectorized,
-// SIMD (every compiled tier), and scalar paths must agree bit-for-bit on
-// every QueryResult field, for every aggregate, range shape (empty / exact
-// / ragged block edges / sub-SIMD-width tails), filter count, and through
-// the batched multi-range executor and the grid's outlier buffer.
+// Cross-checks for the vectorized block-based scan kernel: every scan tier
+// (the row-at-a-time reference, the portable block kernel, and every
+// compiled SIMD tier) must agree bit-for-bit on every QueryResult field,
+// for every aggregate, range shape (empty / exact / ragged block edges /
+// sub-SIMD-width tails), filter count, and through the batched multi-range
+// executor and the grid's outlier buffer.
+#include <cstdlib>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "src/storage/scan_kernel.h"
 #include "src/storage/scan_kernel_simd.h"
 #include "src/storage/simd_dispatch.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -75,7 +78,8 @@ void ExpectSameResult(const QueryResult& vec, const QueryResult& scalar,
 }
 
 TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
-  for (ScanMode mode : {ScanMode::kVectorized, ScanMode::kSimd}) {
+  for (SimdTier tier : ScanTierSweep()) {
+    SCOPED_TRACE(SimdTierName(tier));
     for (bool clustered : {false, true}) {
       Dataset data = MakeData(20000, 4, clustered, 901);
       ColumnStore store(data);
@@ -94,9 +98,9 @@ TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
         }
         QueryResult vec = InitResult(q), scalar = InitResult(q);
         store.ScanRange(begin, end, q, /*exact=*/false, &vec,
-                        ScanOptions{mode});
+                        ScanOptions{tier});
         store.ScanRange(begin, end, q, /*exact=*/false, &scalar,
-                        ScanOptions{ScanOptions::kScalar});
+                        ScanOptions{SimdTier::kReference});
         ExpectSameResult(vec, scalar, clustered ? "clustered" : "random");
       }
     }
@@ -109,9 +113,9 @@ TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
 // shorter than one SIMD width, empty-filter queries, no-match filters, and
 // all-match blocks.
 TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
-  const SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kNone,
-                             SimdTier::kNeon, SimdTier::kAvx2,
-                             SimdTier::kAvx512};
+  const SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kReference,
+                             SimdTier::kNone, SimdTier::kNeon,
+                             SimdTier::kAvx2, SimdTier::kAvx512};
   for (bool clustered : {false, true}) {
     Dataset data = MakeData(3 * kScanBlockRows + 117, 3, clustered, 921);
     ColumnStore store(data);
@@ -134,9 +138,7 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
         {},                                                 // No filters.
     };
     for (SimdTier tier : kTiers) {
-      ScanOptions options;
-      options.mode = ScanMode::kSimd;
-      options.tier = tier;
+      const ScanOptions options{tier};
       for (const auto& filters : filter_sets) {
         for (const auto& [begin, end] : ranges) {
           for (AggKind agg : kAggs) {
@@ -147,7 +149,7 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
             QueryResult simd = InitResult(q), scalar = InitResult(q);
             store.ScanRange(begin, end, q, /*exact=*/false, &simd, options);
             store.ScanRange(begin, end, q, /*exact=*/false, &scalar,
-                            ScanOptions{ScanOptions::kScalar});
+                            ScanOptions{SimdTier::kReference});
             ExpectSameResult(simd, scalar, SimdTierName(tier));
           }
         }
@@ -161,7 +163,7 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
 // widths (0/1/.../17, 63, 64, 100, 1024), including empty and all-match
 // selections.
 TEST(ScanKernelTest, SimdOpsMatchScalarOpsAtEveryLength) {
-  const SimdOps& ref = ScalarSimdOps();
+  const SimdOps& ref = OpsForTier(SimdTier::kNone);
   Rng rng(922);
   for (SimdTier tier :
        {SimdTier::kNeon, SimdTier::kAvx2, SimdTier::kAvx512}) {
@@ -219,12 +221,20 @@ TEST(ScanKernelTest, SimdOpsMatchScalarOpsAtEveryLength) {
 TEST(ScanKernelTest, DispatchResolvesToSupportedTier) {
   SimdTier best = DetectSimdTier();
   EXPECT_TRUE(SimdTierSupported(best)) << SimdTierName(best);
+  EXPECT_NE(best, SimdTier::kAuto);
+  EXPECT_NE(best, SimdTier::kReference);  // Auto always runs the block kernel.
   EXPECT_EQ(&OpsForTier(SimdTier::kAuto), &OpsForTier(best));
-  EXPECT_EQ(&OpsForTier(SimdTier::kNone), &ScalarSimdOps());
-#if defined(TSUNAMI_DISABLE_SIMD)
-  // The portable configuration must never dispatch off the scalar table.
-  EXPECT_EQ(best, SimdTier::kNone);
-#endif
+  // The reference loop's block-level helpers share the portable table.
+  EXPECT_EQ(&OpsForTier(SimdTier::kReference), &OpsForTier(SimdTier::kNone));
+  EXPECT_STREQ(OpsForTier(SimdTier::kNone).name, "scalar");
+  EXPECT_STREQ(SimdTierName(SimdTier::kNone), "scalar");
+  EXPECT_STREQ(SimdTierName(SimdTier::kReference), "reference");
+  // The runtime kill switch must take effect: a run under
+  // TSUNAMI_FORCE_SCALAR never dispatches off the scalar table.
+  const char* force = std::getenv("TSUNAMI_FORCE_SCALAR");
+  if (force != nullptr && force[0] != '\0' && force[0] != '0') {
+    EXPECT_EQ(best, SimdTier::kNone);
+  }
 }
 
 TEST(ScanKernelTest, ExactRangesCrossCheck) {
@@ -239,9 +249,9 @@ TEST(ScanKernelTest, ExactRangesCrossCheck) {
     int64_t end = rng.UniformValue(begin, store.size());
     QueryResult vec = InitResult(q), scalar = InitResult(q);
     store.ScanRange(begin, end, q, /*exact=*/true, &vec,
-                    ScanOptions{ScanOptions::kVectorized});
+                    ScanOptions{SimdTier::kNone});
     store.ScanRange(begin, end, q, /*exact=*/true, &scalar,
-                    ScanOptions{ScanOptions::kScalar});
+                    ScanOptions{SimdTier::kReference});
     ExpectSameResult(vec, scalar, "exact");
   }
 }
@@ -288,7 +298,7 @@ TEST(ScanKernelTest, BatchMatchesSequentialScans) {
     store.ScanRanges(tasks, q, &batched);
     for (const RangeTask& t : tasks) {
       store.ScanRange(t.begin, t.end, q, t.exact, &sequential,
-                      ScanOptions{ScanOptions::kScalar});
+                      ScanOptions{SimdTier::kReference});
     }
     ExpectSameResult(batched, sequential, "batch");
   }

@@ -1,6 +1,7 @@
-// Helpers shared by the test suites: a scheduler jam that keeps submitted
-// work queued on purpose, and an ingesting store whose delta spans both
-// chunk forms (sealed + open) for the executor-epilogue tests.
+// Helpers shared by the test suites: the scan-tier sweep, a scheduler jam
+// that keeps submitted work queued on purpose, an ingesting store whose
+// delta spans both chunk forms (sealed + open) for the executor-epilogue
+// tests, and a wrapper that records the scan options an epilogue received.
 #ifndef TSUNAMI_TESTS_TEST_SUPPORT_H_
 #define TSUNAMI_TESTS_TEST_SUPPORT_H_
 
@@ -8,13 +9,30 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "src/common/index.h"
 #include "src/common/types.h"
 #include "src/exec/task_scheduler.h"
 #include "src/ingest/ingest_store.h"
+#include "src/storage/simd_dispatch.h"
 
 namespace tsunami {
+
+/// The scan tiers every tier sweep covers: the default (kAuto), the
+/// row-at-a-time reference, the portable block kernel, and each SIMD tier
+/// this build and CPU support. All must produce bit-identical results.
+inline std::vector<SimdTier> ScanTierSweep() {
+  std::vector<SimdTier> tiers = {SimdTier::kAuto, SimdTier::kReference,
+                                 SimdTier::kNone};
+  for (SimdTier tier :
+       {SimdTier::kNeon, SimdTier::kAvx2, SimdTier::kAvx512}) {
+    if (SimdTierSupported(tier)) tiers.push_back(tier);
+  }
+  return tiers;
+}
 
 /// Occupies every worker of `scheduler` until Release() — the deterministic
 /// way to keep submitted queries *queued* while a test inspects admission.
@@ -80,6 +98,39 @@ inline std::unique_ptr<ingest::IngestStore> StoreWithSealedAndOpenChunks(
   EXPECT_EQ(snap->chunks().back()->committed(), 37);
   return store;
 }
+
+/// Forwards every query to `inner` and records the scan tier its plan
+/// epilogue (FinishPlan) last received — the witness that an executor
+/// handed its caller's scan options on to the delta-chunk scans. It is its
+/// own PlanTarget, so executors scan inner's current store (callers must
+/// not publish between Prepare and execution) and call this FinishPlan.
+class EpilogueTierSpy : public MultiDimIndex {
+ public:
+  explicit EpilogueTierSpy(const MultiDimIndex* inner) : inner_(inner) {}
+
+  std::string Name() const override { return inner_->Name(); }
+  QueryResult Execute(const Query& query) const override {
+    return inner_->Execute(query);
+  }
+  QueryPlan Prepare(const Query& query) const override {
+    return inner_->Prepare(query);
+  }
+  void FinishPlan(const QueryPlan& plan, QueryResult* result,
+                  const ScanOptions& options) const override {
+    last_tier_.store(options.tier, std::memory_order_relaxed);
+    inner_->PlanTarget(plan).FinishPlan(plan, result, options);
+  }
+  int64_t IndexSizeBytes() const override { return inner_->IndexSizeBytes(); }
+  const ColumnStore& store() const override { return inner_->store(); }
+
+  SimdTier last_tier() const {
+    return last_tier_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const MultiDimIndex* inner_;
+  mutable std::atomic<SimdTier> last_tier_{SimdTier::kAuto};
+};
 
 }  // namespace tsunami
 
