@@ -20,7 +20,9 @@
 #     with -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks
 #     (thrown chunks, flipped checksums, injected stalls) run *under* TSan:
 #     the error paths must be as race-clean as the happy path (wal_test
-#     rides here too for the ingest.fold_window durable regression);
+#     rides here too for the ingest.fold_window durable regression, and
+#     net_test for the worker → event-loop completion handoff: workers
+#     push finished tickets and write the loop's eventfd);
 #  4. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
@@ -80,9 +82,9 @@ TSUNAMI_DISABLE_ENCODING=1 ctest --test-dir build --output-on-failure \
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j"$(nproc)" --target task_scheduler_test \
-  query_service_test exec_test batch_api_test ingest_test wal_test
+  query_service_test exec_test batch_api_test ingest_test wal_test net_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
-  'task_scheduler_test|query_service_test|exec_test|batch_api_test|ingest_test|wal_test'
+  'task_scheduler_test|query_service_test|exec_test|batch_api_test|ingest_test|wal_test|net_test'
 
 # Fourth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault

@@ -40,12 +40,14 @@ TaskScheduler::~TaskScheduler() {
 }
 
 TaskScheduler::JobRef TaskScheduler::Submit(
-    int64_t num_chunks, std::function<void(int64_t, int)> fn, int priority) {
+    int64_t num_chunks, std::function<void(int64_t, int)> fn, int priority,
+    std::function<void()> on_done) {
   JobRef job = std::make_shared<Job>();
   job->fn_ = std::move(fn);
+  job->on_done_ = std::move(on_done);
   jobs_.fetch_add(1, std::memory_order_relaxed);
   if (num_chunks <= 0) {
-    job->done_.store(true, std::memory_order_release);
+    FinishJob(job.get());
     return job;
   }
   job->remaining_.store(num_chunks, std::memory_order_relaxed);
@@ -199,11 +201,26 @@ void TaskScheduler::RunTask(const Task& task, int worker) {
   }
   chunks_.fetch_add(1, std::memory_order_relaxed);
   if (task.job->remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last chunk: publish completion under the job mutex so a waiter
-    // cannot check finished(), sleep, and miss the notify.
-    std::unique_lock<std::mutex> lock(task.job->mu_);
-    task.job->done_.store(true, std::memory_order_release);
-    task.job->cv_.notify_all();
+    FinishJob(task.job.get());
+  }
+}
+
+void TaskScheduler::FinishJob(Job* job) {
+  {
+    // Publish completion under the job mutex so a waiter cannot check
+    // finished(), sleep, and miss the notify.
+    std::unique_lock<std::mutex> lock(job->mu_);
+    job->done_.store(true, std::memory_order_release);
+    job->cv_.notify_all();
+  }
+  // Only the thread that published done_ gets here, and on_done_ was set
+  // before any chunk was queued, so no other thread touches it. Moving it
+  // out releases its captures now rather than with the last JobRef (and
+  // breaks any cycle through a captured JobRef).
+  if (job->on_done_) {
+    std::function<void()> on_done = std::move(job->on_done_);
+    job->on_done_ = nullptr;
+    on_done();
   }
 }
 

@@ -29,6 +29,13 @@
 // never runs another job's chunk, so the nesting depth is bounded by the
 // callers' own nesting, and a helped chunk sees the waiter's worker index.
 //
+// A job may carry a completion callback: it runs exactly once, on the
+// thread that finished the job's last chunk (the submitting thread for
+// zero-chunk jobs and inline schedulers), after finished() is published —
+// so whatever it wakes finds Wait() already satisfied. This is how an
+// event loop learns a job is done without polling it (the network front
+// end's reactor is woken this way).
+//
 // Chunks must be independent; result aggregation is the caller's job
 // (per-chunk partials merged after Wait, the same disjoint-rows argument
 // ExecuteRangeTasks already relies on). A chunk that throws does not take
@@ -68,6 +75,7 @@ class TaskScheduler {
    private:
     friend class TaskScheduler;
     std::function<void(int64_t, int)> fn_;
+    std::function<void()> on_done_;  // Moved out and run by FinishJob.
     std::atomic<int64_t> remaining_{0};
     std::atomic<bool> done_{false};
     std::atomic<bool> failed_{false};
@@ -103,8 +111,15 @@ class TaskScheduler {
   /// scratch. Chunks with `priority > 0` are pushed to the *front* of the
   /// deques, so a latency-sensitive query's chunks run ahead of queued
   /// backlog (stealing still takes victims' backs, preserving the jump).
+  ///
+  /// `on_done` (optional) runs exactly once per job — failed jobs included
+  /// — on the thread that finished the last chunk, *after* finished() is
+  /// true, so a Wait() it triggers never blocks. A zero-chunk job or an
+  /// inline scheduler runs it on the submitting thread before Submit
+  /// returns. It must not throw; the state it captures is released right
+  /// after it runs.
   JobRef Submit(int64_t num_chunks, std::function<void(int64_t, int)> fn,
-                int priority = 0);
+                int priority = 0, std::function<void()> on_done = nullptr);
 
   /// Blocks until every chunk of `job` has finished. Called on one of this
   /// scheduler's workers, it first runs the job's still-queued chunks on
@@ -159,6 +174,9 @@ class TaskScheduler {
   /// worker `id`'s own. Returns false when none is queued.
   bool TakeQueuedChunk(const JobRef& job, int id, Task* out);
   void RunTask(const Task& task, int worker);
+  /// Publishes `job` as finished, wakes its waiters, then runs (and
+  /// releases) its completion callback.
+  static void FinishJob(Job* job);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

@@ -33,9 +33,33 @@ TsunamiServer::TsunamiServer(QueryService* service,
     : service_(service), options_(options) {}
 
 TsunamiServer::~TsunamiServer() {
+  // The wakeup eventfd is not closed here: completions_ owns it, and a
+  // worker may still be inside a completion hook holding a reference.
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
+}
+
+TsunamiServer::CompletionQueue::~CompletionQueue() { ::close(fd_); }
+
+void TsunamiServer::CompletionQueue::Push(QueryService::Ticket ticket) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ready_.push_back(ticket);
+  }
+  // Only the pusher that flips the flag writes. A pusher that finds it set
+  // pushed before the loop's Drain re-armed it, so that Drain (which takes
+  // mu_ after the re-arm) sees the ticket without another wake.
+  if (!wake_pending_.exchange(true)) {
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(fd_, &one, sizeof(one));
+  }
+}
+
+void TsunamiServer::CompletionQueue::Drain(
+    std::vector<QueryService::Ticket>* out) {
+  wake_pending_.store(false);
+  std::lock_guard<std::mutex> lock(mu_);
+  out->swap(ready_);
 }
 
 bool TsunamiServer::Start(std::string* error) {
@@ -44,8 +68,9 @@ bool TsunamiServer::Start(std::string* error) {
       *error = std::string(what) + ": " + std::strerror(errno);
     }
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    completions_.reset();  // Closes the eventfd.
+    on_done_ = nullptr;
     listen_fd_ = wakeup_fd_ = epoll_fd_ = -1;
     return false;
   };
@@ -84,6 +109,10 @@ bool TsunamiServer::Start(std::string* error) {
   if (epoll_fd_ < 0) return fail("epoll_create1");
   wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wakeup_fd_ < 0) return fail("eventfd");
+  completions_ = std::make_shared<CompletionQueue>(wakeup_fd_);
+  on_done_ = [completions = completions_](QueryService::Ticket ticket) {
+    completions->Push(ticket);
+  };
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -169,6 +198,8 @@ void TsunamiServer::Run() {
         continue;
       }
       if (id == 1) {
+        // Drain/stop requests and completion wakes; PollInflight below
+        // pops the finished tickets.
         uint64_t drained;
         while (::read(wakeup_fd_, &drained, sizeof(drained)) > 0) {
         }
@@ -404,6 +435,10 @@ bool TsunamiServer::HandleQuery(Conn* c, const FrameHeader& header,
           : static_cast<double>(header.deadline_micros) * 1e-6;
   submit.priority = header.priority;
   submit.client_id = static_cast<int64_t>(c->id);
+  // Fires on the worker finishing the query (or right here, inside Submit,
+  // for an inline service); routes_ is filled below before PollInflight
+  // can pop the ticket, both being on this thread.
+  submit.on_done = on_done_;
   const QueryService::Admission admission = service_->Submit(query, submit);
   if (!admission.admitted()) {
     WireError wire_error = WireError::kQueueFull;
@@ -484,14 +519,10 @@ bool TsunamiServer::HandleInsert(Conn* c, const FrameHeader& header,
 }
 
 void TsunamiServer::PollInflight() {
-  if (routes_.empty()) return;
-  std::vector<QueryService::Ticket> ready;
-  for (const auto& [ticket, route] : routes_) {
-    if (service_->Ready(ticket)) ready.push_back(ticket);
-  }
-  for (QueryService::Ticket ticket : ready) {
+  completions_->Drain(&finished_);
+  for (QueryService::Ticket ticket : finished_) {
     auto rit = routes_.find(ticket);
-    if (rit == routes_.end()) continue;
+    if (rit == routes_.end()) continue;  // AwaitAllRemaining consumed it.
     const Route route = rit->second;
     routes_.erase(rit);
     AwaitInfo info;
@@ -516,6 +547,7 @@ void TsunamiServer::PollInflight() {
     ++stats_.results_sent;
     SendFrame(c, header, EncodeResultPayload(payload));
   }
+  finished_.clear();  // Keeps its capacity for the next Drain's swap.
   stats_.inflight = static_cast<int64_t>(routes_.size());
 }
 
@@ -612,8 +644,8 @@ bool TsunamiServer::StartClose(Conn* c) {
 
 void TsunamiServer::CloseConn(Conn* c) {
   // Orphan this connection's in-flight tickets: they stay in routes_ and
-  // keep being polled/Awaited (so the service never leaks a ticket), but
-  // their answers are discarded.
+  // are still Awaited when they complete (so the service never leaks a
+  // ticket), but their answers are discarded.
   for (auto& [ticket, route] : routes_) {
     if (route.conn_id == c->id) route.conn_id = 0;
   }

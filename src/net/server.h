@@ -3,10 +3,21 @@
 // One epoll event loop owns every connection: accept, frame parse, query
 // dispatch, and response flush all happen on the loop thread, while the
 // queries themselves execute on the QueryService's work-stealing scheduler.
-// The loop never blocks on a query — admitted tickets are *polled* with
-// QueryService::Ready() each tick and Awaited only once ready, so a slow
-// query can never park the loop (and a chunk killed mid-flight by fault
-// injection still completes its ticket through the service's stop record).
+// The loop never blocks on a query. Each admitted query carries a
+// completion hook (SubmitOptions::on_done): the worker that finishes its
+// last chunk pushes the ticket onto a completion queue and wakes the loop
+// through the wakeup eventfd, and the loop Awaits only the tickets it
+// popped — which never block, because the hook runs after the job is
+// published finished. A slow query therefore never parks the loop, a
+// finished one is answered within one loop pass rather than at the next
+// incoming frame or tick, and a chunk killed mid-flight by fault injection
+// still completes its ticket through the service's stop record.
+//
+// Lifetime rule: the completion queue owns the eventfd and is shared by
+// the server and every hook in flight. A worker still inside a hook after
+// ~TsunamiServer writes to a live descriptor; the last owner closes it.
+// With an inline service (threads = 0) the hook runs on the loop thread
+// inside HandleQuery and takes only the queue's own mutex.
 //
 // Robustness model (the whole point of this layer):
 //   - Bounded buffers everywhere. The read buffer holds at most one partial
@@ -92,8 +103,9 @@ struct ServerOptions {
   /// Drain gives in-flight queries and response flushes this long before
   /// forcing shutdown.
   double drain_timeout_seconds = 30.0;
-  /// Event-loop tick: epoll timeout, timer-wheel granularity, and the
-  /// ticket-poll cadence.
+  /// Event-loop tick: epoll timeout and timer-wheel granularity (idle and
+  /// stall eviction, drain timeout, stop/drain checks). Finished queries
+  /// wake the loop themselves and never wait for a tick.
   double tick_seconds = 0.01;
   /// Whether RequestDrain() also calls QueryService::BeginDrain(). On by
   /// default; a test sharing one service across servers can opt out.
@@ -162,7 +174,7 @@ struct ServerStats {
   /// Tickets whose connection died first: still Awaited (results
   /// discarded) so the service's ticket table never leaks.
   int64_t orphaned_awaited = 0;
-  int64_t inflight = 0;              // Gauge: routed tickets not yet ready.
+  int64_t inflight = 0;              // Gauge: routed tickets not answered.
   int64_t write_buffer_peak = 0;     // High-water mark across connections.
 };
 
@@ -270,10 +282,34 @@ class TsunamiServer {
   };
 
   /// Where a completed ticket's answer goes. conn_id 0 = orphaned (the
-  /// connection died first); the ticket is still polled and Awaited.
+  /// connection died first); the ticket is still Awaited once it completes.
   struct Route {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
+  };
+
+  /// Worker → loop handoff of finished tickets. Owns the wakeup eventfd
+  /// and is shared (shared_ptr) by the server and every in-flight query's
+  /// completion hook, so the descriptor outlives any hook still running.
+  class CompletionQueue {
+   public:
+    explicit CompletionQueue(int fd) : fd_(fd) {}
+    ~CompletionQueue();
+    CompletionQueue(const CompletionQueue&) = delete;
+    CompletionQueue& operator=(const CompletionQueue&) = delete;
+
+    /// Any thread: queue `ticket`, and write the eventfd unless a wake is
+    /// already pending — at most one write per loop pass.
+    void Push(QueryService::Ticket ticket);
+    /// Loop thread: re-arm the wake, then swap every queued ticket into
+    /// `out` (which must be empty).
+    void Drain(std::vector<QueryService::Ticket>* out);
+
+   private:
+    const int fd_;
+    std::mutex mu_;  // Guards ready_.
+    std::vector<QueryService::Ticket> ready_;
+    std::atomic<bool> wake_pending_{false};
   };
 
   uint64_t NowTick() const;
@@ -299,8 +335,8 @@ class TsunamiServer {
   void CloseConn(Conn* c);
   /// SO_LINGER{1,0} + close: an abrupt RST, for the net.reset site.
   void ResetConn(Conn* c);
-  /// Ready-ticket sweep: Await completed tickets and queue their response
-  /// frames (or discard, for orphans).
+  /// Pops the completion queue: Awaits each finished ticket (never
+  /// blocks) and queues its response frame (or discards it, for orphans).
   void PollInflight();
   /// Timer-wheel callback: evict stalled writers / idle connections,
   /// reschedule the rest.
@@ -316,7 +352,12 @@ class TsunamiServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
+  /// The eventfd the loop sleeps on; Request*() write it directly (async-
+  /// signal-safe). Owned and closed by completions_.
   int wakeup_fd_ = -1;
+  std::shared_ptr<CompletionQueue> completions_;
+  /// The hook stamped on every submission; holds a completions_ reference.
+  std::function<void(QueryService::Ticket)> on_done_;
   int port_ = 0;
   bool started_ = false;
 
@@ -331,6 +372,7 @@ class TsunamiServer {
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wakeup eventfd.
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<QueryService::Ticket, Route> routes_;
+  std::vector<QueryService::Ticket> finished_;  // PollInflight scratch.
   TimerWheel wheel_;
   bool draining_active_ = false;
   uint64_t drain_start_tick_ = 0;

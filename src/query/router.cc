@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/stats.h"
 #include "src/core/query_clustering.h"
@@ -68,23 +69,32 @@ AccessPathRouter::AccessPathRouter(
         type.centroid[d] /= static_cast<double>(type.count);
       }
 
-      // Measure each index on an even subsample of the cluster.
+      // Measure each index on an even subsample of the cluster. Every
+      // (repeat, index) pass is timed on its own, the indexes alternate
+      // within each repeat, and each index keeps its fastest pass: a
+      // preemption inflates the one pass it lands in, which the minimum
+      // discards and a total over all passes would not.
       int take = std::min<int>(options.max_measured_per_type,
                                static_cast<int>(cluster_members.size()));
-      type.avg_micros.assign(indexes_.size(), 0.0);
-      for (size_t x = 0; x < indexes_.size(); ++x) {
-        volatile int64_t sink = 0;  // Defeats dead-code elimination.
-        Timer timer;
-        for (int rep = 0; rep < options.repeats; ++rep) {
+      std::vector<int64_t> best_nanos(indexes_.size(),
+                                      std::numeric_limits<int64_t>::max());
+      volatile int64_t sink = 0;  // Defeats dead-code elimination.
+      for (int rep = 0; rep < std::max(1, options.repeats); ++rep) {
+        for (size_t x = 0; x < indexes_.size(); ++x) {
+          Timer timer;
           for (int t = 0; t < take; ++t) {
             const Query& q =
                 calibration[cluster_members[t * cluster_members.size() /
                                             take]];
             sink = sink + indexes_[x]->Execute(q).agg;
           }
+          best_nanos[x] = std::min(best_nanos[x], timer.ElapsedNanos());
         }
-        type.avg_micros[x] = timer.ElapsedNanos() / 1e3 /
-                             (static_cast<double>(take) * options.repeats);
+      }
+      type.avg_micros.assign(indexes_.size(), 0.0);
+      for (size_t x = 0; x < indexes_.size(); ++x) {
+        type.avg_micros[x] =
+            static_cast<double>(best_nanos[x]) / 1e3 / take;
         // Weight the global fallback by cluster size.
         total_micros[x] += type.avg_micros[x] * static_cast<double>(
                                                     type.count);

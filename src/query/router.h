@@ -34,7 +34,8 @@ class AccessPathRouter : public MultiDimIndex {
   struct Options {
     /// Queries measured per (type, index) pair: min(cluster size, this).
     int max_measured_per_type = 16;
-    /// Timing repeats per measured query.
+    /// Timed passes per index over the measured queries (indexes
+    /// alternate within each pass); an index's fastest pass counts.
     int repeats = 2;
     /// Row sample used for selectivity embeddings.
     int64_t max_sample_rows = 20000;
@@ -109,7 +110,9 @@ class AccessPathRouter : public MultiDimIndex {
   struct CalibratedType {
     uint64_t dim_mask = 0;  // Bit d set when dimension d is filtered.
     std::vector<double> centroid;  // Selectivity embedding (size = dims).
-    std::vector<double> avg_micros;  // Parallel to indexes_.
+    /// Per-query micros of each index's fastest pass; parallel to
+    /// indexes_.
+    std::vector<double> avg_micros;
     int winner = 0;
     int64_t count = 0;  // Calibration queries of this type.
   };

@@ -66,6 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -191,6 +192,14 @@ struct SubmitOptions {
   /// Stable client identity for the per-client fairness cap (the network
   /// front end stamps one per connection). -1 = anonymous, never capped.
   int64_t client_id = -1;
+  /// Completion hook (optional): called with the admitted query's ticket
+  /// exactly once, on the thread that finished its last chunk, once
+  /// Await(ticket) would no longer block — completed, stopped, or failed.
+  /// It may run before Submit returns (on the submitting thread itself
+  /// for an inline service), so Await the ticket only after Submit has
+  /// handed it back. Never called for a rejected admission. Must be cheap
+  /// and must not throw: it runs on a scheduler worker.
+  std::function<void(uint64_t ticket)> on_done;
 };
 
 /// Per-query completion report, filled by Await. `latency_seconds` is
@@ -294,13 +303,6 @@ class QueryService {
   /// As above, also reporting the outcome and the query's worker-stamped
   /// completion latency (see AwaitInfo).
   QueryResult Await(Ticket ticket, AwaitInfo* info);
-
-  /// Non-blocking readiness probe: true when Await(ticket) would return
-  /// without blocking (the query's job finished — by completion, stop, or
-  /// failure — or the ticket was never issued / already consumed). The
-  /// network front end polls this from its event loop so it never parks a
-  /// thread per in-flight request.
-  bool Ready(Ticket ticket) const;
 
   /// Puts the service into drain mode: every subsequent Submit is rejected
   /// with AdmissionOutcome::kDraining while already-admitted queries keep
@@ -426,9 +428,11 @@ class QueryService {
   /// strictly before mu_; never taken by workers.
   std::mutex admission_mu_;
 
-  mutable std::mutex mu_;  // Guards tickets_ and next_ticket_.
+  mutable std::mutex mu_;  // Guards tickets_.
   std::unordered_map<Ticket, std::unique_ptr<Pending>> tickets_;
-  Ticket next_ticket_ = 1;
+  /// Reserved before the scheduler Submit, so a completion hook already
+  /// knows its ticket; the Pending is registered only once fully built.
+  std::atomic<Ticket> next_ticket_{1};
 
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> completed_{0};

@@ -3,7 +3,8 @@
 // equivalence against Execute, pipelined out-of-order completion,
 // malformed/oversized/bad-version/bad-type typed errors, per-connection and
 // per-client caps, queue-full retry, deadline propagation, backpressure and
-// stalled-reader eviction, idle eviction, graceful drain, and (under
+// stalled-reader eviction, idle eviction, graceful drain, answers that
+// wake the loop instead of waiting for its tick, and (under
 // -DTSUNAMI_FAULT_INJECTION=ON) the injected net.* fault sites.
 #include <gtest/gtest.h>
 
@@ -248,6 +249,15 @@ class NetTest : public ::testing::Test {
     return q;
   }
 
+  /// The wire answer equals per-query Execute bit for bit.
+  void ExpectMatchesExecute(const ClientResult& got, const Query& q) const {
+    const QueryResult want = index_->Execute(q);
+    EXPECT_EQ(got.result.agg, want.agg);
+    EXPECT_EQ(got.result.scanned, want.scanned);
+    EXPECT_EQ(got.result.matched, want.matched);
+    EXPECT_EQ(got.result.extra, want.extra);
+  }
+
   Dataset data_;
   std::unique_ptr<FullScanIndex> index_;
 };
@@ -258,7 +268,11 @@ class ServerHarness {
  public:
   ServerHarness(QueryService* service, ServerOptions options = {}) {
     options.port = 0;
-    options.tick_seconds = 0.002;  // Snappy polling for tests.
+    // Snappy timer checks (idle/stall eviction, drain) unless the test
+    // chose its own tick.
+    if (options.tick_seconds == ServerOptions{}.tick_seconds) {
+      options.tick_seconds = 0.002;
+    }
     server_ = std::make_unique<TsunamiServer>(service, options);
     std::string error;
     started_ = server_->Start(&error);
@@ -732,6 +746,115 @@ TEST_F(NetTest, GracefulDrainFinishesInflightAndRejectsNew) {
   const QueryService::Admission post = service.Submit(Region());
   EXPECT_EQ(post.outcome, AdmissionOutcome::kDraining)
       << ToString(post.outcome);
+}
+
+// A 5 s tick with both eviction timers off: nothing but a finished query
+// (or a client frame) wakes the loop, so an answer that arrives well
+// inside one tick was delivered by the completion wake, not by the tick.
+ServerOptions SlowTickOptions() {
+  ServerOptions so;
+  so.tick_seconds = 5.0;
+  so.idle_timeout_seconds = 0.0;
+  so.write_stall_timeout_seconds = 0.0;
+  return so;
+}
+
+TEST_F(NetTest, ResultArrivesWithoutWaitingForTick) {
+  QueryService service(index_.get());
+  ServerHarness harness(&service, SlowTickOptions());
+  TsunamiClient client(harness.ClientFor());
+  ASSERT_TRUE(client.Ping());
+  const Query q = Region();
+  Timer timer;
+  const ClientResult got = client.Run(q);
+  const double seconds = timer.ElapsedSeconds();
+  ASSERT_TRUE(got.ok()) << net::ToString(got.error) << " "
+                        << ToString(got.outcome);
+  EXPECT_LT(seconds, 1.0) << "the answer waited for the loop's tick";
+  ExpectMatchesExecute(got, q);
+}
+
+// Inline service: the completion hook runs on the loop thread itself,
+// inside the frame handler that submitted the query.
+TEST_F(NetTest, InlineServiceResultArrivesWithoutWaitingForTick) {
+  ServiceOptions service_options;
+  service_options.threads = 0;
+  QueryService service(index_.get(), service_options);
+  ServerHarness harness(&service, SlowTickOptions());
+  TsunamiClient client(harness.ClientFor());
+  ASSERT_TRUE(client.Ping());
+  Rng rng(17);
+  for (int i = 0; i < 4; ++i) {
+    const Query q = i == 0 ? Region() : Needle(rng);
+    Timer timer;
+    const ClientResult got = client.Run(q);
+    const double seconds = timer.ElapsedSeconds();
+    ASSERT_TRUE(got.ok()) << "query " << i << ": "
+                          << net::ToString(got.error);
+    EXPECT_LT(seconds, 1.0) << "query " << i << " waited for the tick";
+    ExpectMatchesExecute(got, q);
+  }
+  harness.Stop();
+  EXPECT_EQ(harness.server().stats().results_sent, 4);
+}
+
+// A pipelined burst over two connections, one of which hangs up with all
+// its queries in flight: the survivor gets every answer without a tick,
+// and every ticket of the dead connection is still Awaited as an orphan.
+TEST_F(NetTest, PipelinedBurstWithDeadConnectionArrivesWithoutTick) {
+  ServiceOptions service_options;
+  service_options.threads = 2;
+  QueryService service(index_.get(), service_options);
+  ServerHarness harness(&service, SlowTickOptions());
+  TsunamiClient survivor(harness.ClientFor());
+  TsunamiClient doomed(harness.ClientFor());
+  ASSERT_TRUE(survivor.Ping());
+  ASSERT_TRUE(doomed.Ping());
+
+  // Both workers jammed: no query of the burst can finish before the
+  // doomed connection is gone.
+  WorkerJam jam(&service.scheduler(), 2);
+  const int kPerConn = 32;
+  Rng rng(23);
+  std::vector<Query> queries;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kPerConn; ++i) {
+    queries.push_back(i % 8 == 0 ? Region() : Needle(rng));
+    ids.push_back(survivor.Submit(queries.back()));
+    ASSERT_NE(ids.back(), 0u);
+    ASSERT_NE(doomed.Submit(Needle(rng)), 0u);
+  }
+  doomed.Close();
+  Timer wait;
+  while (wait.ElapsedSeconds() < 10.0) {
+    const net::ServerStats stats = harness.server().stats();
+    if (stats.queries_admitted == 2 * kPerConn &&
+        stats.active_connections == 1) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(harness.server().stats().queries_admitted, 2 * kPerConn);
+  ASSERT_EQ(harness.server().stats().active_connections, 1);
+
+  Timer timer;
+  jam.Release();
+  for (int i = 0; i < kPerConn; ++i) {
+    ClientResult got;
+    ASSERT_TRUE(survivor.Await(ids[i], &got)) << "request " << i;
+    ASSERT_TRUE(got.ok()) << "request " << i << ": "
+                          << net::ToString(got.error);
+    ExpectMatchesExecute(got, queries[i]);
+  }
+  // Half a tick: a loop that slept until its tick would take 5 s.
+  EXPECT_LT(timer.ElapsedSeconds(), 2.5)
+      << "the answers waited for the loop's tick";
+  harness.Stop();
+  const net::ServerStats stats = harness.server().stats();
+  EXPECT_EQ(stats.results_sent, kPerConn);
+  EXPECT_EQ(stats.orphaned_awaited, kPerConn);
+  EXPECT_EQ(stats.inflight, 0);
+  EXPECT_EQ(service.stats().tickets_in_flight, 0);
 }
 
 #if defined(TSUNAMI_FAULT_INJECTION)

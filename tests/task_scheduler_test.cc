@@ -1,8 +1,10 @@
 // Tests for the work-stealing task scheduler: every chunk runs exactly
 // once (any thread count, concurrent submitters), Wait/Finished semantics,
 // inline determinism, several workers running at once, priority jumping
-// the queue, stealing actually firing on a skewed job mix, and nested jobs
-// completing through help-while-waiting.
+// the queue, stealing actually firing on a skewed job mix, nested jobs
+// completing through help-while-waiting, and the completion callback
+// (exactly once, after finished(), on every kind of job; its captures
+// released).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +17,25 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 namespace {
+
+/// Spins until `pred` holds or `seconds` pass; returns the final `pred`.
+/// The completion callback runs after finished() is published, so a test
+/// that has returned from Wait() may still have to wait for it.
+template <typename Pred>
+bool EventuallyTrue(Pred pred, double seconds = 30.0) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration<double>(seconds);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return pred();
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST(TaskSchedulerTest, InlineSchedulerRunsChunksInOrderOnCaller) {
   TaskScheduler scheduler(0);
@@ -336,6 +353,223 @@ TEST(TaskSchedulerTest, NestedWaitOnOwnWorkerHelpsInsteadOfDeadlocking) {
   EXPECT_FALSE(inner_failed.load(std::memory_order_acquire));
   for (int64_t c = 0; c < kInner; ++c) EXPECT_EQ(inner_hits[c], 1) << c;
   EXPECT_EQ(scheduler->queue_depth(), 0);
+}
+
+// Every job's callback fires exactly once, after finished(), whatever its
+// chunk count. The chunks hold until every JobRef is published, so the
+// callback can look its own job up and check the ordering the reactor
+// relies on: when it runs, Wait() on that job cannot block.
+TEST(TaskSchedulerTest, CompletionCallbackFiresOnceAfterFinished) {
+  TaskScheduler scheduler(4);
+  const int kJobs = 24;
+  std::vector<TaskScheduler::JobRef> jobs(kJobs);
+  std::vector<std::atomic<int>> fired(kJobs);
+  std::vector<std::atomic<int>> finished_at_fire(kJobs);
+  std::atomic<bool> armed{false};
+  for (int j = 0; j < kJobs; ++j) {
+    const int64_t chunks = 1 + (j * 7) % 40;
+    jobs[j] = scheduler.Submit(
+        chunks,
+        [&armed](int64_t, int) {
+          while (!armed.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        },
+        /*priority=*/j % 2,
+        [&, j] {
+          finished_at_fire[j].store(jobs[j]->finished() ? 1 : 0);
+          fired[j].fetch_add(1);
+        });
+  }
+  armed.store(true, std::memory_order_release);
+  for (const auto& job : jobs) scheduler.Wait(job);
+  ASSERT_TRUE(EventuallyTrue([&] {
+    for (const auto& f : fired) {
+      if (f.load() == 0) return false;
+    }
+    return true;
+  }));
+  // Give a (buggy) second firing time to land before counting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(fired[j].load(), 1) << "job " << j;
+    EXPECT_EQ(finished_at_fire[j].load(), 1) << "job " << j;
+  }
+}
+
+// Zero-chunk jobs and inline schedulers run the callback on the submitting
+// thread before Submit returns — after every chunk, with finished() true.
+TEST(TaskSchedulerTest, CompletionCallbackOnSubmitterForEmptyAndInlineJobs) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {0, 2}) {
+    TaskScheduler scheduler(threads);
+    int fired = 0;
+    std::thread::id fired_on;
+    TaskScheduler::JobRef empty = scheduler.Submit(
+        0, [](int64_t, int) { FAIL() << "no chunks should run"; }, 0,
+        [&] {
+          ++fired;
+          fired_on = std::this_thread::get_id();
+        });
+    EXPECT_EQ(fired, 1) << threads << " threads";
+    EXPECT_EQ(fired_on, caller);
+    EXPECT_TRUE(TaskScheduler::Finished(empty));
+  }
+
+  TaskScheduler inline_scheduler(0);
+  std::vector<int64_t> ran;
+  int fired = 0;
+  size_t chunks_before_fire = 0;
+  std::thread::id fired_on;
+  TaskScheduler::JobRef job = inline_scheduler.Submit(
+      5, [&](int64_t c, int) { ran.push_back(c); }, 0,
+      [&] {
+        ++fired;
+        chunks_before_fire = ran.size();
+        fired_on = std::this_thread::get_id();
+      });
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(chunks_before_fire, 5u);
+  EXPECT_EQ(fired_on, caller);
+  EXPECT_TRUE(TaskScheduler::Finished(job));
+}
+
+// A nested job awaited from a worker: the waiting worker runs the inner
+// chunks itself, so it also finishes the last one and runs the inner
+// callback — before its Wait returns. The outer callback fires too.
+TEST(TaskSchedulerTest, CompletionCallbackForNestedJobRunsOnHelpingWorker) {
+  TaskScheduler scheduler(1);
+  std::atomic<int> inner_fired{0};
+  std::atomic<int> outer_fired{0};
+  std::atomic<int> inner_fired_before_wait_returned{-1};
+  std::atomic<bool> same_thread{false};
+  TaskScheduler::JobRef outer = scheduler.Submit(
+      1,
+      [&](int64_t, int) {
+        const std::thread::id me = std::this_thread::get_id();
+        TaskScheduler::JobRef inner = scheduler.Submit(
+            6, [](int64_t, int) {}, 0, [&, me] {
+              same_thread.store(std::this_thread::get_id() == me);
+              inner_fired.fetch_add(1);
+            });
+        scheduler.Wait(inner);
+        inner_fired_before_wait_returned.store(inner_fired.load());
+      },
+      0, [&] { outer_fired.fetch_add(1); });
+  scheduler.Wait(outer);
+  ASSERT_TRUE(EventuallyTrue([&] { return outer_fired.load() == 1; }));
+  EXPECT_EQ(inner_fired.load(), 1);
+  EXPECT_EQ(inner_fired_before_wait_returned.load(), 1);
+  EXPECT_TRUE(same_thread.load());
+}
+
+// A job whose chunks throw still completes: the callback fires exactly
+// once and sees failed().
+TEST(TaskSchedulerTest, CompletionCallbackFiresForFailedJob) {
+  TaskScheduler scheduler(2);
+  std::atomic<int> fired{0};
+  std::atomic<bool> armed{false};
+  TaskScheduler::JobRef job;
+  std::atomic<bool> failed_at_fire{false};
+  job = scheduler.Submit(
+      12,
+      [&](int64_t c, int) {
+        while (!armed.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        if (c % 4 == 1) throw std::runtime_error("injected chunk fault");
+      },
+      0, [&] {
+        failed_at_fire.store(job->failed());
+        fired.fetch_add(1);
+      });
+  armed.store(true, std::memory_order_release);
+  scheduler.Wait(job);
+  ASSERT_TRUE(EventuallyTrue([&] { return fired.load() == 1; }));
+  EXPECT_TRUE(failed_at_fire.load());
+  EXPECT_TRUE(job->failed());
+}
+
+#if defined(TSUNAMI_FAULT_INJECTION)
+// The scheduler's own fault site throws ahead of the chunk function: the
+// job fails without ever running a chunk body, and the callback still
+// fires exactly once per job.
+TEST(TaskSchedulerTest, CompletionCallbackFiresWhenInjectedTaskThrows) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { fault::DisarmAll(); }
+  } disarm;
+  fault::FaultSpec spec;
+  spec.probability = 1.0;
+  fault::Arm("sched.task_throw", spec);
+  {
+    TaskScheduler scheduler(3);
+    const int kJobs = 8;
+    std::vector<std::atomic<int>> fired(kJobs);
+    std::atomic<int64_t> bodies{0};
+    std::vector<TaskScheduler::JobRef> jobs;
+    for (int j = 0; j < kJobs; ++j) {
+      jobs.push_back(scheduler.Submit(
+          4, [&](int64_t, int) { bodies.fetch_add(1); }, 0,
+          [&fired, j] { fired[j].fetch_add(1); }));
+    }
+    for (const auto& job : jobs) scheduler.Wait(job);
+    ASSERT_TRUE(EventuallyTrue([&] {
+      for (const auto& f : fired) {
+        if (f.load() == 0) return false;
+      }
+      return true;
+    }));
+    for (int j = 0; j < kJobs; ++j) {
+      EXPECT_EQ(fired[j].load(), 1) << "job " << j;
+      EXPECT_TRUE(jobs[j]->failed()) << "job " << j;
+    }
+    EXPECT_EQ(bodies.load(), 0);
+    EXPECT_EQ(scheduler.stats().task_failures, kJobs * 4);
+  }
+}
+#endif  // TSUNAMI_FAULT_INJECTION
+
+// The callback's captures are released once it has run — even a capture
+// that holds the job's own JobRef (a cycle through the callback) — so the
+// job and everything it captured are gone when the last JobRef drops.
+TEST(TaskSchedulerTest, CompletionCallbackCapturesAreReleased) {
+  {  // Inline: released before Submit returns, while the JobRef is held.
+    TaskScheduler scheduler(0);
+    auto sentinel = std::make_shared<int>(7);
+    std::weak_ptr<int> weak = sentinel;
+    TaskScheduler::JobRef job = scheduler.Submit(
+        3, [](int64_t, int) {}, 0, [sentinel] { EXPECT_EQ(*sentinel, 7); });
+    sentinel.reset();
+    EXPECT_TRUE(weak.expired());
+    EXPECT_TRUE(TaskScheduler::Finished(job));
+  }
+  {  // Threaded, with the callback holding its own job.
+    TaskScheduler scheduler(2);
+    auto sentinel = std::make_shared<int>(9);
+    std::weak_ptr<int> weak_sentinel = sentinel;
+    auto self = std::make_shared<TaskScheduler::JobRef>();
+    std::atomic<bool> armed{false};
+    std::atomic<int> fired{0};
+    TaskScheduler::JobRef job = scheduler.Submit(
+        8,
+        [&armed](int64_t, int) {
+          while (!armed.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        },
+        0, [sentinel, self, &fired] { fired.fetch_add(1); });
+    *self = job;
+    std::weak_ptr<TaskScheduler::Job> weak_job = job;
+    self.reset();
+    sentinel.reset();
+    armed.store(true, std::memory_order_release);
+    scheduler.Wait(job);
+    ASSERT_TRUE(EventuallyTrue([&] { return fired.load() == 1; }));
+    job.reset();  // The test's last JobRef.
+    // A worker may still be unwinding its Task's JobRef; never longer.
+    EXPECT_TRUE(EventuallyTrue([&] { return weak_job.expired(); }));
+    EXPECT_TRUE(weak_sentinel.expired());
+  }
 }
 
 }  // namespace
