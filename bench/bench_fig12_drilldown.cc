@@ -89,10 +89,13 @@ void DrilldownB(const std::vector<Benchmark>& benches) {
       grid.Attach(&store, 0);
       Timer timer;
       int64_t sink = 0;
+      std::vector<RangeTask> tasks;
       for (int rep = 0; rep < 3; ++rep) {
         for (const Query& q : b.workload) {
           QueryResult r;
-          grid.Execute(q, &r);
+          tasks.clear();
+          grid.PlanRanges(q, &tasks, &r);
+          store.ScanRanges(tasks, q, &r);
           sink += r.agg;
         }
       }

@@ -128,9 +128,13 @@ void GridQueryBench(benchmark::State& state, bool refine) {
   ColumnStore store(b.data, rows);
   grid.Attach(&store, 0);
   size_t i = 0;
+  std::vector<RangeTask> tasks;
   for (auto _ : state) {
+    const Query& q = workload[i % workload.size()];
     QueryResult r;
-    grid.Execute(workload[i % workload.size()], &r);
+    tasks.clear();
+    grid.PlanRanges(q, &tasks, &r);
+    store.ScanRanges(tasks, q, &r);
     ++i;
     benchmark::DoNotOptimize(r.agg);
   }

@@ -17,8 +17,12 @@ class FullScanIndex : public MultiDimIndex {
   explicit FullScanIndex(const Dataset& data) : store_(data) {}
 
   std::string Name() const override { return "FullScan"; }
-  QueryResult Execute(const Query& query) const override {
-    return ExecuteFullScan(store_, query);
+  /// One inexact range over every row.
+  QueryPlan Prepare(const Query& query) const override {
+    QueryPlan plan(query);
+    plan.tasks.push_back(RangeTask{0, store_.size(), /*exact=*/false});
+    plan.counters.cell_ranges = 1;
+    return plan;
   }
   int64_t IndexSizeBytes() const override { return 0; }
   const ColumnStore& store() const override { return store_; }

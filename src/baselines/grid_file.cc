@@ -69,9 +69,9 @@ int GridFileIndex::BucketOf(int dim, Value v) const {
                           scale.begin());
 }
 
-QueryResult GridFileIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (store_.size() == 0) return result;
+QueryPlan GridFileIndex::Prepare(const Query& query) const {
+  QueryPlan plan(query);
+  if (store_.size() == 0) return plan;
   // Per-dimension bucket ranges, plus whether the query covers each bucket
   // entirely (for the exact-scan optimization).
   std::vector<int> lo(dims_, 0), hi(dims_, 0);
@@ -82,10 +82,7 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
   }
 
   // Odometer over the cell box; runs along the innermost dimension are
-  // contiguous in the directory, so scan them as single ranges. Runs are
-  // collected and submitted to the scan kernel as one batch.
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
+  // contiguous in the directory, so plan them as single ranges.
   std::vector<int> cur(lo);
   for (;;) {
     int64_t base = 0;
@@ -112,8 +109,8 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
           break;
         }
       }
-      ++result.cell_ranges;
-      tasks.push_back(RangeTask{begin, end, exact});
+      ++plan.counters.cell_ranges;
+      plan.tasks.push_back(RangeTask{begin, end, exact});
     }
     // Advance the odometer over dims [0, dims_-1).
     int d = dims_ - 2;
@@ -124,8 +121,7 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
     if (d < 0) break;
     ++cur[d];
   }
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+  return plan;
 }
 
 int64_t GridFileIndex::IndexSizeBytes() const {

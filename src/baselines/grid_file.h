@@ -35,7 +35,7 @@ class GridFileIndex : public MultiDimIndex {
   GridFileIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "GridFile"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

@@ -27,7 +27,7 @@ class KdTree : public MultiDimIndex {
          const Options& options);
 
   std::string Name() const override { return "KdTree"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override {
     return static_cast<int64_t>(nodes_.size()) * sizeof(Node);
   }

@@ -87,16 +87,13 @@ int32_t HyperOctree::BuildNode(const Dataset& data,
   return idx;
 }
 
-QueryResult HyperOctree::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (nodes_.empty()) return result;
+QueryPlan HyperOctree::Prepare(const Query& query) const {
+  QueryPlan plan(query);
+  if (nodes_.empty()) return plan;
   std::vector<Value> lo = bounds_.lo;
   std::vector<Value> hi = bounds_.hi;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanNode(0, query, &lo, &hi, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+  PlanNode(0, query, &lo, &hi, &plan.tasks, &plan.counters);
+  return plan;
 }
 
 void HyperOctree::PlanNode(int32_t node_idx, const Query& query,

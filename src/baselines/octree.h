@@ -26,7 +26,7 @@ class HyperOctree : public MultiDimIndex {
   HyperOctree(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "Hyperoctree"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

@@ -195,14 +195,11 @@ void QdTreeIndex::PlanNode(int32_t node_id, const Query& query,
   PlanNode(node.right, query, tasks, out);
 }
 
-QueryResult QdTreeIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (nodes_.empty()) return result;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanNode(0, query, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+QueryPlan QdTreeIndex::Prepare(const Query& query) const {
+  QueryPlan plan(query);
+  if (nodes_.empty()) return plan;
+  PlanNode(0, query, &plan.tasks, &plan.counters);
+  return plan;
 }
 
 int64_t QdTreeIndex::IndexSizeBytes() const {

@@ -45,7 +45,7 @@ class QdTreeIndex : public MultiDimIndex {
               const Options& options);
 
   std::string Name() const override { return "Qd-tree"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

@@ -31,7 +31,7 @@ class RTreeIndex : public MultiDimIndex {
   RTreeIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "RTree"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

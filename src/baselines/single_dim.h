@@ -20,7 +20,7 @@ class SingleDimIndex : public MultiDimIndex {
                  int forced_sort_dim = -1);
 
   std::string Name() const override { return "SingleDim"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override { return sizeof(int); }
   const ColumnStore& store() const override { return store_; }
 

@@ -38,7 +38,7 @@ class UbTreeIndex : public MultiDimIndex {
   UbTreeIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "UBTree"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

@@ -78,9 +78,9 @@ int64_t ZmIndex::LowerBound(int64_t lo, int64_t hi, uint64_t z) const {
   return lo;
 }
 
-QueryResult ZmIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (num_rows_ == 0) return result;
+QueryPlan ZmIndex::Prepare(const Query& query) const {
+  QueryPlan plan(query);
+  if (num_rows_ == 0) return plan;
 
   // Z-address range of the query box: codes of its low and high bucket
   // corners (Morton is monotone per coordinate).
@@ -118,11 +118,10 @@ QueryResult ZmIndex::Execute(const Query& query) const {
     end = LowerBound(end_lo, end_hi, z_hi + 1);
   }
 
-  if (begin >= end) return result;
-  ++result.cell_ranges;
-  RangeTask task{begin, end, /*exact=*/false};
-  store_.ScanRanges({&task, 1}, query, &result);
-  return result;
+  if (begin >= end) return plan;
+  ++plan.counters.cell_ranges;
+  plan.tasks.push_back(RangeTask{begin, end, /*exact=*/false});
+  return plan;
 }
 
 int64_t ZmIndex::IndexSizeBytes() const {

@@ -38,7 +38,7 @@ class ZmIndex : public MultiDimIndex {
   ZmIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "ZM-index"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
 
   /// Bucket models + RMI + error bound. The Z-addresses themselves are not
   /// materialized: they are recomputed from the clustered store on demand,

@@ -36,7 +36,7 @@ class ZOrderIndex : public MultiDimIndex {
   ZOrderIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "ZOrder"; }
-  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 

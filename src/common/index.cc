@@ -7,16 +7,13 @@
 
 namespace tsunami {
 
-QueryPlan MultiDimIndex::Prepare(const Query& query) const {
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  return plan;
+QueryResult MultiDimIndex::Execute(const Query& query) const {
+  ExecContext ctx;
+  return ExecutePlan(Prepare(query), ctx);
 }
 
 QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
                                        ExecContext& ctx) const {
-  if (!plan.use_tasks) return Execute(plan.query);
   QueryResult result = plan.counters;
   QueryResult scans =
       ExecuteRangeTasks(store(), plan.tasks, plan.query, ctx);

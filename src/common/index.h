@@ -2,15 +2,16 @@
 // index in this library (baselines, Flood, Tsunami, secondary indexes, the
 // access-path router).
 //
-// Two execution surfaces:
-//  * the legacy per-query path — Execute(query) — one synchronous query;
-//  * the batch path — Prepare(query) -> QueryPlan, then
-//    ExecutePlan(plan, ctx) or ExecuteBatch(queries, ctx) — which amortizes
-//    planning, runs scans through the work-stealing TaskScheduler and
-//    forced SIMD tier carried by the ExecContext, and computes every
-//    aggregate of a multi-aggregate query in one pass.
-// Both surfaces are bit-identical: ExecuteBatch over any permutation of a
-// workload returns exactly what per-query Execute returns.
+// One query path: every index plans in Prepare(query) -> QueryPlan (the
+// physical RangeTasks plus plan-time counters, no row data touched), and
+// every executor runs that plan — ExecutePlan(plan, ctx), ExecuteBatch,
+// QueryService's chunked jobs — scanning the tasks through the
+// work-stealing TaskScheduler and scan tier carried by the ExecContext,
+// every aggregate of a multi-aggregate query in one pass, then running the
+// index's FinishPlan epilogue. Execute(query) is defined once, as
+// ExecutePlan(Prepare(query), ExecContext{}), so the per-query call, the
+// batch path and the served path are bit-identical by construction, and
+// the §5.3.1 cost model (PredictPlanNanos) prices every plan.
 #ifndef TSUNAMI_COMMON_INDEX_H_
 #define TSUNAMI_COMMON_INDEX_H_
 
@@ -29,23 +30,24 @@ namespace tsunami {
 
 class TaskScheduler;
 
-/// A prepared query: the bound query plus, when the index supports
-/// plan-then-scan execution, the physical row ranges to scan. Plans borrow
-/// nothing but are only executable by the index that produced them (the
-/// tasks address that index's clustered store).
+/// A prepared query: the bound query plus the physical row ranges to scan.
+/// Plans borrow nothing but are only executable by the index that produced
+/// them (the tasks address PlanTarget(plan)'s clustered store).
 struct QueryPlan {
+  QueryPlan() = default;
+  /// An empty plan for `query`: no tasks, counters initialized.
+  explicit QueryPlan(const Query& query)
+      : query(query), counters(InitResult(query)) {}
+
   Query query;
-  /// Physical ranges to scan, in submission order. Meaningful only when
-  /// `use_tasks` is true.
+  /// Physical ranges to scan, in submission order.
   std::vector<RangeTask> tasks;
   /// Plan-time counters: initialized accumulators plus the cell_ranges
   /// visited during planning. Execution merges scan counters into a copy.
   QueryResult counters;
-  /// False: the index has no plan-then-scan path; execution falls back to
-  /// Execute(query). True: execution scans `tasks` against store().
-  bool use_tasks = false;
   /// Position of the owning access path within a routing layer; set by
-  /// AccessPathRouter::Prepare so replays skip re-routing. -1 = not routed.
+  /// AccessPathRouter::Prepare so ExecutePlan forwards the plan to that
+  /// path without re-routing. -1 = not routed.
   int routed_index = -1;
   /// Snapshot pin for versioned stores (src/ingest): an opaque owning
   /// reference that keeps the store version the tasks address alive (and
@@ -88,7 +90,7 @@ struct BatchStats {
 /// Execution context for the batch path. Carries the resources a batch
 /// shares — the task scheduler, scan options (kernel mode + forced SIMD
 /// tier) — plus cooperative cancellation (an external flag and/or a
-/// deadline, both checked between range tasks and between queries) and
+/// deadline, both checked between queries and every few range tasks) and
 /// per-batch stats. Copyable: forwarding layers fork a context per
 /// sub-batch and merge stats back.
 class ExecContext {
@@ -187,34 +189,34 @@ class MultiDimIndex {
   virtual std::string Name() const = 0;
 
   /// Executes one query and returns its aggregate(s) plus execution
-  /// counters. Multi-aggregate queries get every aggregate in one pass.
-  virtual QueryResult Execute(const Query& query) const = 0;
+  /// counters: ExecutePlan(Prepare(query), ExecContext{}), inline at the
+  /// default scan tier. Indexes do not override it; it stays virtual only
+  /// for forwarding wrappers (perfbench's TimedIndex).
+  virtual QueryResult Execute(const Query& query) const;
 
-  /// Plans `query` without scanning row data. The default returns a
-  /// passthrough plan (use_tasks = false) that ExecutePlan serves via
-  /// Execute(); indexes with a plan-then-scan path override this to emit
-  /// their RangeTasks up front so batches amortize planning.
-  virtual QueryPlan Prepare(const Query& query) const;
+  /// Plans `query` without scanning row data: the RangeTasks to scan and
+  /// the plan-time counters (cell_ranges visited). The one place an index
+  /// plans; every execution surface runs the plan it returns.
+  virtual QueryPlan Prepare(const Query& query) const = 0;
 
-  /// Executes a prepared plan. Task-backed plans scan through the context's
-  /// scheduler and scan options (one job of row-balanced chunks) and then
-  /// run FinishPlan(); passthrough plans delegate to Execute().
-  /// Bit-identical to Execute(plan.query) for any worker count and
+  /// Executes a prepared plan: scans its tasks through the context's
+  /// scheduler and scan options (one job of row-balanced chunks), then
+  /// runs FinishPlan(). Results are identical for any worker count and
   /// supported tier.
   virtual QueryResult ExecutePlan(const QueryPlan& plan,
                                   ExecContext& ctx) const;
 
-  /// The non-range epilogue of a task-backed plan: whatever Execute() does
-  /// besides scanning the planned ranges (an ingesting store's delta
-  /// chunks, the Hermit index's uncovered-outlier probes). The
-  /// decomposition contract every external executor (ExecutePlan here,
-  /// QueryService's chunked scheduler jobs) relies on is:
+  /// The non-range epilogue of a plan: whatever a query needs besides
+  /// scanning the planned ranges (an ingesting store's delta chunks, the
+  /// Hermit index's uncovered-outlier probes). The decomposition contract
+  /// every executor (ExecutePlan here, QueryService's chunked scheduler
+  /// jobs) relies on is:
   ///
-  ///   Execute(plan.query) == plan.counters
-  ///                          (+) scan of plan.tasks against PlanTarget's
-  ///                              store, split anywhere on task/block
-  ///                              boundaries, partials merged in any order
-  ///                          (+) FinishPlan(plan, &result)
+  ///   result(plan) == plan.counters
+  ///                   (+) scan of plan.tasks against PlanTarget's store,
+  ///                       split anywhere on task/block boundaries,
+  ///                       partials merged in any order
+  ///                   (+) FinishPlan(plan, &result)
   ///
   /// Default: nothing to finish. `options` (the caller's ExecContext::scan)
   /// drive the epilogue's own scans. Must be thread-safe and must not

@@ -257,7 +257,7 @@ inline void MergeQueryResults(const Query& query, const QueryResult& in,
 
 /// A QueryResult whose accumulators are initialized for the query's
 /// aggregates (0 for COUNT/SUM/AVG, +inf for MIN, -inf for MAX). Every
-/// index's Execute starts from this. Reads kinds through agg_spec(), like
+/// plan's counters start from this. Reads kinds through agg_spec(), like
 /// the kernels and MergeQueryResults.
 inline QueryResult InitResult(const Query& query) {
   QueryResult result;

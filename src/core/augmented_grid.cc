@@ -304,13 +304,6 @@ void AugmentedGrid::Attach(const ColumnStore* store, int64_t base) {
   base_ = base;
 }
 
-void AugmentedGrid::Execute(const Query& query, QueryResult* out) const {
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanRanges(query, &tasks, out);
-  if (!tasks.empty()) store_->ScanRanges(tasks, query, out);
-}
-
 void AugmentedGrid::PlanRanges(const Query& query,
                                std::vector<RangeTask>* tasks,
                                QueryResult* counters) const {

@@ -61,10 +61,6 @@ class AugmentedGrid {
   /// stored contiguously at [base, base + num_rows).
   void Attach(const ColumnStore* store, int64_t base);
 
-  /// Executes a query over this grid's rows, accumulating into `out`.
-  /// Equivalent to PlanRanges() followed by ColumnStore::ScanRanges().
-  void Execute(const Query& query, QueryResult* out) const;
-
   /// Plans the physical row ranges the query must scan — candidate cell
   /// runs after binary-search refinement, plus the outlier buffer — and
   /// appends them to `tasks` without touching row data (beyond the

@@ -16,7 +16,6 @@ CostWeights CalibrateCostWeights(const ExecContext& ctx) {
 }
 
 double PredictPlanNanos(const QueryPlan& plan, const CostWeights& weights) {
-  if (!plan.use_tasks) return 0.0;
   int64_t inexact_rows = 0;
   int64_t exact_rows = 0;
   for (const RangeTask& task : plan.tasks) {
@@ -28,12 +27,13 @@ double PredictPlanNanos(const QueryPlan& plan, const CostWeights& weights) {
   for (int a = 0; a < plan.query.num_aggs(); ++a) {
     if (plan.query.agg_spec(a).op != AggKind::kCount) ++agg_cols;
   }
-  // Inexact rows pay the filter passes; exact rows skip them and pay only
-  // the aggregate reads (an exact COUNT range is free, matching the
-  // kernel's touch-no-data path).
+  // Both kinds of row pay the aggregate reads (an exact COUNT range is
+  // free, matching the kernel's touch-no-data path); inexact rows also pay
+  // the filter passes, so an inexact range never prices below an exact
+  // range over the same rows.
   double nanos = weights.w0 * static_cast<double>(plan.tasks.size());
   nanos += weights.w1 * static_cast<double>(inexact_rows) *
-           static_cast<double>(std::max(filtered, 1));
+           static_cast<double>(std::max(filtered, 1) + agg_cols);
   nanos += weights.w1 * static_cast<double>(exact_rows) *
            static_cast<double>(agg_cols);
   return nanos;

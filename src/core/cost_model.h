@@ -65,12 +65,16 @@ CostWeights CalibrateCostWeights(const ExecContext& ctx);
 
 /// Predicted execution time in nanoseconds for an already-prepared plan,
 /// straight from the §5.3.1 analytic form: w0 per planned range plus the
-/// per-row scan term over the rows the ranges cover — filtered dimensions
-/// for inexact ranges, aggregate columns for exact ones. This is the
-/// admission-control half of the model: QueryService compares it against a
+/// per-row scan term over the rows the ranges cover — a pass per non-COUNT
+/// aggregate column for every row, plus a pass per filtered dimension for
+/// inexact rows (charged as if every row matched). Every index plans
+/// its whole scan in Prepare (a secondary-index probe is a one-row range),
+/// so every plan is priced; only a plan with no tasks predicts 0. Two
+/// consumers: QueryService's admission control compares it against a
 /// query's deadline budget and rejects (kDeadlineInfeasible) work that
-/// could not finish even on an idle machine. Plans without range tasks
-/// (passthrough indexes) predict 0 — never rejected.
+/// could not finish even on an idle machine, and AccessPathRouter picks
+/// each query type's cheapest access path by it. The FinishPlan epilogue
+/// (delta chunks, Hermit outlier probes) is not priced.
 double PredictPlanNanos(const QueryPlan& plan, const CostWeights& weights);
 
 /// Predicts average query time for Augmented Grid candidates over a region,

@@ -318,29 +318,9 @@ void TsunamiIndex::PlanRegion(int region, const Query& query,
   }
 }
 
-QueryResult TsunamiIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  static thread_local std::vector<int> hits;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  if (use_grid_tree_) {
-    tree_.CollectRegions(query, &hits);
-  } else {
-    hits.assign(1, 0);
-  }
-  // Batch submission: plan every intersected region's ranges first, then
-  // hand the whole batch to the scan kernel in one call.
-  for (int region : hits) PlanRegion(region, query, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
-}
-
 QueryPlan TsunamiIndex::Prepare(const Query& query) const {
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  plan.use_tasks = true;
-  std::vector<int> hits;
+  QueryPlan plan(query);
+  static thread_local std::vector<int> hits;
   if (use_grid_tree_) {
     tree_.CollectRegions(query, &hits);
   } else {

@@ -80,10 +80,8 @@ class TsunamiIndex : public MultiDimIndex {
                const Workload& new_workload, const TsunamiOptions& options);
 
   std::string Name() const override { return name_; }
-  QueryResult Execute(const Query& query) const override;
-
-  /// Plans every intersected region's RangeTasks up front (the batch path's
-  /// planning half). The returned plan scans through ExecutePlan.
+  /// Plans every intersected region's RangeTasks: the Grid Tree picks the
+  /// regions, each region's Augmented Grid its candidate cell runs.
   QueryPlan Prepare(const Query& query) const override;
 
   int64_t IndexSizeBytes() const override;

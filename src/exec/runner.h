@@ -1,5 +1,5 @@
 // Batch workload execution over any index, optionally in parallel on the
-// context's TaskScheduler. Built indexes are immutable and their Execute()
+// context's TaskScheduler. Built indexes are immutable and their Prepare()
 // paths are thread-safe, so queries parallelize without coordination.
 #ifndef TSUNAMI_EXEC_RUNNER_H_
 #define TSUNAMI_EXEC_RUNNER_H_

@@ -29,22 +29,10 @@ class FloodIndex : public MultiDimIndex {
              const FloodOptions& options);
 
   std::string Name() const override { return "Flood"; }
-  QueryResult Execute(const Query& query) const override {
-    QueryResult result = InitResult(query);
-    grid_.Execute(query, &result);
-    return result;
-  }
-
-  /// Plans the grid's candidate runs up front; the base ExecutePlan /
-  /// ExecuteBatch then submit them as one batched scan through the
-  /// context's pool and scan options. Flood plans are pure range scans
-  /// (no FinishPlan epilogue), so QueryService decomposes them into
-  /// work-stealing chunks with no index-specific hook needed.
+  /// Plans the grid's candidate runs. Flood plans are pure range scans (no
+  /// FinishPlan epilogue).
   QueryPlan Prepare(const Query& query) const override {
-    QueryPlan plan;
-    plan.query = query;
-    plan.counters = InitResult(query);
-    plan.use_tasks = true;
+    QueryPlan plan(query);
     grid_.PlanRanges(query, &plan.tasks, &plan.counters);
     return plan;
   }

@@ -129,11 +129,6 @@ void IngestStore::StopBackground() {
 
 // --- Reads -----------------------------------------------------------------
 
-QueryResult IngestStore::Execute(const Query& query) const {
-  Observe(query);
-  return PinSnapshot()->Execute(query);
-}
-
 QueryPlan IngestStore::Prepare(const Query& query) const {
   Observe(query);
   std::shared_ptr<const ColumnStoreSnapshot> snap = snapshots_.Pin();
@@ -154,9 +149,10 @@ const MultiDimIndex& IngestStore::PlanTarget(const QueryPlan& plan) const {
 QueryResult IngestStore::ExecutePlan(const QueryPlan& plan,
                                      ExecContext& ctx) const {
   // The base implementation scans this->store(), which tracks the *newest*
-  // snapshot — a pinned plan must scan the version its tasks address.
+  // snapshot — a pinned plan must scan the version its tasks address. An
+  // unpinned (foreign) plan's tasks address no snapshot: replan its query.
   if (plan.pin != nullptr) return PlanTarget(plan).ExecutePlan(plan, ctx);
-  return Execute(plan.query);
+  return ExecutePlan(Prepare(plan.query), ctx);
 }
 
 void IngestStore::FinishPlan(const QueryPlan& plan, QueryResult* result,

@@ -135,7 +135,6 @@ class IngestStore : public MultiDimIndex {
 
   // --- MultiDimIndex (reads resolve against a pinned snapshot) ---
   std::string Name() const override { return name_; }
-  QueryResult Execute(const Query& query) const override;
   QueryPlan Prepare(const Query& query) const override;
   QueryResult ExecutePlan(const QueryPlan& plan,
                           ExecContext& ctx) const override;
@@ -181,7 +180,7 @@ class IngestStore : public MultiDimIndex {
   /// TsunamiIndex::RepairedCopy). Returns blocks repaired.
   int64_t RepairQuarantined();
   /// Feeds one query to the workload monitor (no-op unless
-  /// options.monitor_workload). Execute/Prepare call this themselves.
+  /// options.monitor_workload). Prepare (and so Execute) calls this itself.
   void Observe(const Query& query) const;
 
   // --- Introspection ---

@@ -21,12 +21,6 @@ int64_t ColumnStoreSnapshot::ChunkRows() const {
 
 std::string ColumnStoreSnapshot::Name() const { return index_->Name(); }
 
-QueryResult ColumnStoreSnapshot::Execute(const Query& query) const {
-  QueryResult result = index_->Execute(query);
-  for (const auto& chunk : chunks_) chunk->Scan(query, &result);
-  return result;
-}
-
 QueryPlan ColumnStoreSnapshot::Prepare(const Query& query) const {
   QueryPlan plan = index_->Prepare(query);
   plan.store_version = version_;

@@ -50,7 +50,6 @@ class ColumnStoreSnapshot : public MultiDimIndex {
   // chunk — the only delta rows there are (committed rows read at
   // execution time, so replayed plans see fresh rows within this version).
   std::string Name() const override;
-  QueryResult Execute(const Query& query) const override;
   QueryPlan Prepare(const Query& query) const override;
   void FinishPlan(const QueryPlan& plan, QueryResult* result,
                   const ScanOptions& options) const override;

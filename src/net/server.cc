@@ -133,7 +133,12 @@ bool TsunamiServer::Start(std::string* error) {
 }
 
 uint64_t TsunamiServer::NowTick() const {
-  return static_cast<uint64_t>(clock_.ElapsedSeconds() / options_.tick_seconds);
+  // Ticks count from 1: a tick stamp of 0 (Conn::stall_since_tick) means
+  // "not set", so a stall that starts in the loop's first tick must not
+  // stamp 0 — it would never be seen, and the stalled reader never evicted.
+  return static_cast<uint64_t>(clock_.ElapsedSeconds() /
+                               options_.tick_seconds) +
+         1;
 }
 
 void TsunamiServer::RequestDrain() {
@@ -175,7 +180,7 @@ void TsunamiServer::PublishStats() {
 void TsunamiServer::Run() {
   if (!started_) return;
   clock_.Reset();
-  now_tick_ = 0;
+  now_tick_ = NowTick();
   const uint64_t drain_ticks =
       ToTicks(options_.drain_timeout_seconds, options_.tick_seconds);
   const int timeout_ms =

@@ -274,7 +274,8 @@ class TsunamiServer {
     uint32_t epoll_events = 0;
     int inflight = 0;          // Tickets routed to this connection.
     uint64_t last_activity_tick = 0;
-    uint64_t stall_since_tick = 0;  // 0 = write buffer empty or moving.
+    /// 0 = write buffer empty or moving; ticks count from 1.
+    uint64_t stall_since_tick = 0;
     /// Earliest outstanding timer-wheel check for this connection; used to
     /// suppress duplicate wheel entries.
     bool next_check_scheduled = false;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <cstdio>
 
-#include "src/common/stats.h"
+#include "src/core/cost_model.h"
 #include "src/core/query_clustering.h"
 
 namespace tsunami {
@@ -40,7 +40,7 @@ AccessPathRouter::AccessPathRouter(
   unique_masks.erase(std::unique(unique_masks.begin(), unique_masks.end()),
                      unique_masks.end());
 
-  std::vector<double> total_micros(indexes_.size(), 0.0);
+  std::vector<double> total_nanos(indexes_.size(), 0.0);
   for (uint64_t mask : unique_masks) {
     std::vector<int> members;
     std::vector<std::vector<double>> group;
@@ -69,46 +69,32 @@ AccessPathRouter::AccessPathRouter(
         type.centroid[d] /= static_cast<double>(type.count);
       }
 
-      // Measure each index on an even subsample of the cluster. Every
-      // (repeat, index) pass is timed on its own, the indexes alternate
-      // within each repeat, and each index keeps its fastest pass: a
-      // preemption inflates the one pass it lands in, which the minimum
-      // discards and a total over all passes would not.
-      int take = std::min<int>(options.max_measured_per_type,
-                               static_cast<int>(cluster_members.size()));
-      std::vector<int64_t> best_nanos(indexes_.size(),
-                                      std::numeric_limits<int64_t>::max());
-      volatile int64_t sink = 0;  // Defeats dead-code elimination.
-      for (int rep = 0; rep < std::max(1, options.repeats); ++rep) {
-        for (size_t x = 0; x < indexes_.size(); ++x) {
-          Timer timer;
-          for (int t = 0; t < take; ++t) {
-            const Query& q =
-                calibration[cluster_members[t * cluster_members.size() /
-                                            take]];
-            sink = sink + indexes_[x]->Execute(q).agg;
-          }
-          best_nanos[x] = std::min(best_nanos[x], timer.ElapsedNanos());
-        }
-      }
-      type.avg_micros.assign(indexes_.size(), 0.0);
+      // Price every member's plan on every index with the §5.3.1 cost
+      // model: Prepare scans no rows, and the price is a pure function of
+      // the plan, so routing repeats exactly.
+      type.avg_nanos.assign(indexes_.size(), 0.0);
       for (size_t x = 0; x < indexes_.size(); ++x) {
-        type.avg_micros[x] =
-            static_cast<double>(best_nanos[x]) / 1e3 / take;
-        // Weight the global fallback by cluster size.
-        total_micros[x] += type.avg_micros[x] * static_cast<double>(
-                                                    type.count);
+        double nanos = 0.0;
+        for (int member : cluster_members) {
+          nanos += PredictPlanNanos(indexes_[x]->Prepare(calibration[member]),
+                                    CostWeights{});
+        }
+        // The fallback weighs each type by its size: its total, not mean.
+        total_nanos[x] += nanos;
+        type.avg_nanos[x] = nanos / static_cast<double>(type.count);
       }
+      // min_element keeps the first of equal prices: ties go to the
+      // earlier index.
       type.winner = static_cast<int>(
-          std::min_element(type.avg_micros.begin(), type.avg_micros.end()) -
-          type.avg_micros.begin());
+          std::min_element(type.avg_nanos.begin(), type.avg_nanos.end()) -
+          type.avg_nanos.begin());
       types_.push_back(std::move(type));
     }
   }
   if (!types_.empty()) {
     fallback_ = static_cast<int>(
-        std::min_element(total_micros.begin(), total_micros.end()) -
-        total_micros.begin());
+        std::min_element(total_nanos.begin(), total_nanos.end()) -
+        total_nanos.begin());
   }
 }
 
@@ -166,48 +152,12 @@ QueryResult AccessPathRouter::ExecutePlan(const QueryPlan& plan,
   // Plans this router prepared carry their access path; replays skip the
   // embed + nearest-type routing cost. A foreign (untagged) plan's tasks
   // address some other index's clustered store and cannot be trusted here,
-  // so only its query is honored: route and execute from scratch.
+  // so only its query is honored: route and plan from scratch.
   if (plan.routed_index >= 0 &&
       plan.routed_index < static_cast<int>(indexes_.size())) {
     return indexes_[plan.routed_index]->ExecutePlan(plan, ctx);
   }
-  return Route(plan.query).Execute(plan.query);
-}
-
-std::vector<QueryResult> AccessPathRouter::ExecuteBatch(
-    std::span<const Query> queries, ExecContext& ctx) const {
-  ctx.StartBatch();
-  Timer timer;
-  std::vector<QueryResult> results(queries.size());
-  // Group per chosen access path, preserving in-group order, then forward
-  // one sub-batch per index and scatter results back positionally.
-  std::vector<std::vector<int64_t>> groups(indexes_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    groups[RouteIndex(queries[i])].push_back(static_cast<int64_t>(i));
-  }
-  for (size_t x = 0; x < indexes_.size(); ++x) {
-    if (groups[x].empty()) continue;
-    if (ctx.ShouldStop()) {
-      // Deadline/cancel between groups: the skipped groups' queries keep
-      // their identity results, matching ExecuteBatch semantics.
-      for (int64_t i : groups[x]) results[i] = InitResult(queries[i]);
-      continue;
-    }
-    Workload sub;
-    sub.reserve(groups[x].size());
-    for (int64_t i : groups[x]) sub.push_back(queries[i]);
-    // Fork: the sub-batch inherits only the *remaining* deadline, so one
-    // routed group cannot restart the batch's clock.
-    ExecContext sub_ctx = ctx.Fork();
-    std::vector<QueryResult> sub_results = indexes_[x]->ExecuteBatch(
-        std::span<const Query>(sub.data(), sub.size()), sub_ctx);
-    for (size_t j = 0; j < groups[x].size(); ++j) {
-      results[groups[x][j]] = std::move(sub_results[j]);
-    }
-    ctx.stats.MergeCounters(sub_ctx.stats);
-  }
-  ctx.stats.seconds += timer.ElapsedSeconds();
-  return results;
+  return ExecutePlan(Prepare(plan.query), ctx);
 }
 
 int64_t AccessPathRouter::IndexSizeBytes() const {
@@ -218,7 +168,7 @@ int64_t AccessPathRouter::IndexSizeBytes() const {
   for (const CalibratedType& type : types_) {
     bytes += static_cast<int64_t>(sizeof(CalibratedType)) +
              static_cast<int64_t>(type.centroid.size() +
-                                  type.avg_micros.size()) *
+                                  type.avg_nanos.size()) *
                  static_cast<int64_t>(sizeof(double));
   }
   return bytes;
@@ -240,8 +190,8 @@ std::string AccessPathRouter::Describe() const {
     out += "} x" + std::to_string(type.count) + ":";
     for (size_t x = 0; x < indexes_.size(); ++x) {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), " %s=%.1fus",
-                    indexes_[x]->Name().c_str(), type.avg_micros[x]);
+      std::snprintf(buf, sizeof(buf), " %s=%.0fns",
+                    indexes_[x]->Name().c_str(), type.avg_nanos[x]);
       out += buf;
     }
     out += " -> " + indexes_[type.winner]->Name() + "\n";

@@ -10,10 +10,14 @@
 // same way Tsunami itself adapts: learn from a sample workload.
 //
 // Calibration clusters the sample into query types (§4.3.1 machinery:
-// dimension-set signature + selectivity embedding, DBSCAN) and measures
-// every index on every type. At query time the query is embedded, matched
-// to the nearest calibrated type with the same dimension signature, and
-// dispatched to that type's winner.
+// dimension-set signature + selectivity embedding, DBSCAN) and prices every
+// index on every type: each member query's plan from that index's Prepare,
+// costed by the §5.3.1 model (PredictPlanNanos at default weights) — the
+// same model Tsunami lays its data out by. Nothing is timed, so the table
+// is a pure function of the indexes, the data and the sample. At query
+// time the query is embedded, matched to the nearest calibrated type with
+// the same dimension signature, and dispatched to that type's cheapest
+// index.
 #ifndef TSUNAMI_QUERY_ROUTER_H_
 #define TSUNAMI_QUERY_ROUTER_H_
 
@@ -32,11 +36,6 @@ namespace tsunami {
 class AccessPathRouter : public MultiDimIndex {
  public:
   struct Options {
-    /// Queries measured per (type, index) pair: min(cluster size, this).
-    int max_measured_per_type = 16;
-    /// Timed passes per index over the measured queries (indexes
-    /// alternate within each pass); an index's fastest pass counts.
-    int repeats = 2;
     /// Row sample used for selectivity embeddings.
     int64_t max_sample_rows = 20000;
     /// DBSCAN parameters (§4.3.1 defaults).
@@ -60,11 +59,6 @@ class AccessPathRouter : public MultiDimIndex {
 
   std::string Name() const override { return "Router"; }
 
-  /// Routes and executes.
-  QueryResult Execute(const Query& query) const override {
-    return Route(query).Execute(query);
-  }
-
   /// Routes and plans: the returned plan is the routed index's plan,
   /// tagged with the chosen access path (QueryPlan::routed_index) so
   /// ExecutePlan forwards straight back to it without re-routing — the
@@ -84,12 +78,6 @@ class AccessPathRouter : public MultiDimIndex {
     return *this;
   }
 
-  /// Routes a batch by grouping the queries per chosen access path and
-  /// forwarding one sub-batch per index; results are scattered back to
-  /// their original positions, so output order matches input order.
-  std::vector<QueryResult> ExecuteBatch(std::span<const Query> queries,
-                                        ExecContext& ctx) const override;
-
   /// The router's own overhead: the selectivity sample plus the
   /// calibration table (the routed indexes account for themselves).
   int64_t IndexSizeBytes() const override;
@@ -98,7 +86,8 @@ class AccessPathRouter : public MultiDimIndex {
   const ColumnStore& store() const override { return indexes_[0]->store(); }
 
   /// Human-readable calibration table: one row per learned type with its
-  /// dimension signature, per-index average microseconds, and the winner.
+  /// dimension signature, per-index average predicted nanoseconds per
+  /// query, and the winner. Deterministic: equal inputs print equal text.
   std::string Describe() const;
 
   int num_types() const { return static_cast<int>(types_.size()); }
@@ -110,10 +99,10 @@ class AccessPathRouter : public MultiDimIndex {
   struct CalibratedType {
     uint64_t dim_mask = 0;  // Bit d set when dimension d is filtered.
     std::vector<double> centroid;  // Selectivity embedding (size = dims).
-    /// Per-query micros of each index's fastest pass; parallel to
-    /// indexes_.
-    std::vector<double> avg_micros;
-    int winner = 0;
+    /// Each index's mean predicted plan cost over the type's members, in
+    /// ns; parallel to indexes_.
+    std::vector<double> avg_nanos;
+    int winner = 0;  // First index with the lowest avg_nanos.
     int64_t count = 0;  // Calibration queries of this type.
   };
 
@@ -121,7 +110,7 @@ class AccessPathRouter : public MultiDimIndex {
 
   std::vector<const MultiDimIndex*> indexes_;
   std::vector<CalibratedType> types_;
-  int fallback_ = 0;  // Winner over the whole calibration workload.
+  int fallback_ = 0;  // Cheapest over every clustered calibration query.
   int dims_ = 0;
   // Per-dimension sorted sample columns for selectivity estimation.
   std::vector<std::vector<Value>> sample_;

@@ -39,14 +39,11 @@ void ProbeRow(const ColumnStore& store, int64_t row, const Query& query,
 }
 
 /// Plans the scan bounded by the host filter when present, else the whole
-/// store, as a RangeTask batch (of one) — the same ScanBatch seam the grid
-/// and baselines execute.
+/// store, as a RangeTask batch (of one) — the same seam the grid and
+/// baselines plan into.
 QueryPlan PlanHostScan(const ColumnStore& store, int host_dim,
                        const Query& query) {
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  plan.use_tasks = true;
+  QueryPlan plan(query);
   int64_t begin = 0, end = store.size();
   if (const Predicate* p = query.FilterOn(host_dim)) {
     begin = store.LowerBound(host_dim, 0, store.size(), p->lo);
@@ -57,15 +54,6 @@ QueryPlan PlanHostScan(const ColumnStore& store, int host_dim,
     plan.tasks.push_back(RangeTask{begin, end, /*exact=*/false});
   }
   return plan;
-}
-
-/// Serial execution of a host-scan plan (the legacy Execute path).
-QueryResult HostScan(const ColumnStore& store, int host_dim,
-                     const Query& query) {
-  QueryPlan plan = PlanHostScan(store, host_dim, query);
-  QueryResult result = plan.counters;
-  store.ScanRanges(plan.tasks, query, &result);
-  return result;
 }
 
 }  // namespace
@@ -88,25 +76,21 @@ SortedSecondaryIndex::SortedSecondaryIndex(const Dataset& data, int host_dim,
 }
 
 QueryPlan SortedSecondaryIndex::Prepare(const Query& query) const {
-  if (query.FilterOn(key_dim_) != nullptr) {
-    // Probe path: row-id chasing has no contiguous ranges to plan.
-    return MultiDimIndex::Prepare(query);
-  }
-  return PlanHostScan(store_, host_dim_, query);
-}
-
-QueryResult SortedSecondaryIndex::Execute(const Query& query) const {
   const Predicate* key_filter = query.FilterOn(key_dim_);
-  if (key_filter == nullptr) {
-    return HostScan(store_, host_dim_, query);
-  }
-  QueryResult result = InitResult(query);
+  if (key_filter == nullptr) return PlanHostScan(store_, host_dim_, query);
+  // Probe path: each key match is a one-row range at its row id, in key
+  // order — a random access into the host store, the "pointer chasing"
+  // cost of secondary indexes (§1), so each also counts one range.
+  QueryPlan plan(query);
   auto first = std::lower_bound(keys_.begin(), keys_.end(), key_filter->lo);
   auto last = std::upper_bound(first, keys_.end(), key_filter->hi);
+  plan.tasks.reserve(last - first);
   for (auto it = first; it != last; ++it) {
-    ProbeRow(store_, rows_[it - keys_.begin()], query, &result);
+    const int64_t row = rows_[it - keys_.begin()];
+    plan.tasks.push_back(RangeTask{row, row + 1, /*exact=*/false});
   }
-  return result;
+  plan.counters.cell_ranges = static_cast<int64_t>(plan.tasks.size());
+  return plan;
 }
 
 int64_t SortedSecondaryIndex::IndexSizeBytes() const {
@@ -209,10 +193,7 @@ QueryPlan CorrelationSecondaryIndex::Prepare(const Query& query) const {
   if (key_filter == nullptr || segments_.empty()) {
     return PlanHostScan(store_, host_dim_, query);
   }
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  plan.use_tasks = true;
+  QueryPlan plan(query);
 
   // Map the key range through each overlapping segment's model. The host
   // ranges of different segments can overlap arbitrarily (and are not even
@@ -268,11 +249,6 @@ void CorrelationSecondaryIndex::FinishPlan(const QueryPlan& plan,
     if (covered(row)) continue;
     ProbeRow(store_, row, query, result);
   }
-}
-
-QueryResult CorrelationSecondaryIndex::Execute(const Query& query) const {
-  ExecContext ctx;
-  return ExecutePlan(Prepare(query), ctx);
 }
 
 int64_t CorrelationSecondaryIndex::IndexSizeBytes() const {

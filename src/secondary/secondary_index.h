@@ -44,12 +44,9 @@ class SortedSecondaryIndex : public MultiDimIndex {
   SortedSecondaryIndex(const Dataset& data, int host_dim, int key_dim);
 
   std::string Name() const override { return "SecondaryBTree"; }
-  QueryResult Execute(const Query& query) const override;
 
-  /// Host-scan queries (no key filter) plan their bounded host range as a
-  /// task batch; key-filtered queries keep the probe path (random row-id
-  /// chasing cannot be expressed as contiguous RangeTasks) and return a
-  /// passthrough plan.
+  /// Key-filtered queries plan one one-row RangeTask per key match (the
+  /// probes, in key order); anything else plans its bounded host range.
   QueryPlan Prepare(const Query& query) const override;
 
   /// The entry list: one (value, row id) pair per row.
@@ -89,7 +86,6 @@ class CorrelationSecondaryIndex : public MultiDimIndex {
                             const Options& options);
 
   std::string Name() const override { return "SecondaryHermit"; }
-  QueryResult Execute(const Query& query) const override;
 
   /// Plans the merged host ranges (key-filtered queries) or the bounded
   /// host scan up front; execution scans them as one batch and then probes

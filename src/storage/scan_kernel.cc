@@ -241,10 +241,83 @@ int64_t ZoneMaps::SizeBytes() const {
          (2 * sizeof(Value) + sizeof(int64_t));
 }
 
+inline bool ScanKernel::BlockReadable(int64_t block, const Query& query,
+                                      bool exact, QueryResult* out) const {
+  const std::vector<EncodedColumn>& columns = *columns_;
+  // No short-circuit: every involved column advances its lazy verification
+  // even when an earlier one is already quarantined.
+  bool ok = true;
+  if (!exact) {
+    for (const Predicate& p : query.filters) {
+      ok = columns[p.dim].EnsureReadable(block) && ok;
+    }
+  }
+  for (int a = 0; a < query.num_aggs(); ++a) {
+    const AggregateSpec spec = query.agg_spec(a);
+    if (spec.op != AggKind::kCount) {
+      ok = columns[spec.column].EnsureReadable(block) && ok;
+    }
+  }
+  if (!ok) {
+    out->degraded = true;
+    ++out->quarantined_blocks;
+  }
+  return ok;
+}
+
+size_t ScanKernel::ScanRows(std::span<const RangeTask> tasks,
+                            const Query& query, QueryResult* out) const {
+  const std::vector<EncodedColumn>& columns = *columns_;
+  const int num_aggs = query.num_aggs();
+  // Counters stay in locals across the run; only the aggregate
+  // accumulators are written through `out`.
+  int64_t scanned = 0;
+  int64_t matched = 0;
+  size_t i = 0;
+  for (; i < tasks.size(); ++i) {
+    const RangeTask& task = tasks[i];
+    if (task.exact || task.end - task.begin != 1) break;
+    const int64_t row = task.begin;
+    if (!BlockReadable(row / kScanBlockRows, query, /*exact=*/false, out)) {
+      continue;  // Skipped, never read: not scanned.
+    }
+    ++scanned;
+    bool ok = true;
+    for (const Predicate& p : query.filters) {
+      const Value v = columns[p.dim].Get(row);
+      if (v < p.lo || v > p.hi) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    ++matched;
+    for (int a = 0; a < num_aggs; ++a) {
+      const AggregateSpec spec = query.agg_spec(a);
+      AccumulateAgg(
+          spec.op,
+          spec.op == AggKind::kCount ? 0 : columns[spec.column].Get(row),
+          out->agg_accumulator(a));
+    }
+  }
+  out->scanned += scanned;
+  out->matched += matched;
+  return i;
+}
+
 void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
                       bool exact, QueryResult* out,
                       const ScanOptions& options) const {
   if (begin >= end) return;
+  // A one-row inexact range (a secondary-index probe) has no lanes to
+  // fill: the row-at-a-time path reads its filter values with early exit
+  // and skips the zone triage and selection passes. Its counters and
+  // aggregates are the block kernel's, as for every tier.
+  if (!exact && end - begin == 1) {
+    const RangeTask task{begin, end, exact};
+    ScanRows({&task, 1}, query, out);
+    return;
+  }
   if (options.tier == SimdTier::kReference) {
     ScanScalar(begin, end, query, exact, out);
     return;
@@ -261,20 +334,33 @@ void ScanKernel::ScanBatch(std::span<const RangeTask> tasks,
                            const Query& query, QueryResult* out,
                            const ScanOptions& options) const {
   if (options.stop_probe == nullptr) {
-    for (const RangeTask& task : tasks) {
-      Scan(task.begin, task.end, query, task.exact, out, options);
+    // A run of one-row probe ranges goes through ScanRows in one call.
+    for (size_t i = 0; i < tasks.size();) {
+      const size_t consumed = ScanRows(tasks.subspan(i), query, out);
+      if (consumed > 0) {
+        i += consumed;
+        continue;
+      }
+      Scan(tasks[i].begin, tasks[i].end, query, tasks[i].exact, out, options);
+      ++i;
     }
     return;
   }
-  // Cancellable batch: probe between tasks and, inside oversized tasks,
-  // between block-aligned kScanStopProbeRows slices, so a deadline or
-  // cancel flag lands mid-scan instead of after the largest range. The
-  // accumulation is a left-to-right fold over the same rows, so an
-  // uncancelled probed batch is bit-identical to the unprobed loop above.
+  // Cancellable batch: inside oversized tasks, scan block-aligned
+  // kScanStopProbeRows slices, and probe before any slice that would take
+  // the rows scanned since the last probe past kScanStopProbeRows (or the
+  // slices past kStopProbeTasks), so a deadline or cancel flag lands
+  // mid-scan instead of after the largest range, while a batch of one-row
+  // probe ranges pays one clock read per kStopProbeTasks ranges rather
+  // than one per row. The accumulation is a left-to-right fold over the
+  // same rows, so an uncancelled probed batch is bit-identical to the
+  // unprobed loop above.
+  constexpr int64_t kStopProbeTasks = 64;
+  int64_t rows_since_probe = 0;
+  int64_t slices_since_probe = kStopProbeTasks;  // Probe before the first.
   for (const RangeTask& task : tasks) {
     int64_t begin = task.begin;
     while (begin < task.end) {
-      if (options.ShouldStop()) return;
       int64_t end = task.end;
       if (end - begin > kScanStopProbeRows) {
         // Slice on a block boundary so full-block zone-map paths (and the
@@ -283,7 +369,15 @@ void ScanKernel::ScanBatch(std::span<const RangeTask> tasks,
         end -= end % kScanBlockRows;
         if (end <= begin) end = std::min(task.end, begin + kScanBlockRows);
       }
+      if (slices_since_probe >= kStopProbeTasks ||
+          rows_since_probe + (end - begin) > kScanStopProbeRows) {
+        if (options.ShouldStop()) return;
+        rows_since_probe = 0;
+        slices_since_probe = 0;
+      }
       Scan(begin, end, query, task.exact, out, options);
+      rows_since_probe += end - begin;
+      ++slices_since_probe;
       begin = end;
     }
   }
@@ -369,30 +463,6 @@ void ScanKernel::ScanScalar(int64_t begin, int64_t end, const Query& query,
     }
     lo = hi;
   }
-}
-
-bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
-                               QueryResult* out) const {
-  const std::vector<EncodedColumn>& columns = *columns_;
-  // No short-circuit: every involved column advances its lazy verification
-  // even when an earlier one is already quarantined.
-  bool ok = true;
-  if (!exact) {
-    for (const Predicate& p : query.filters) {
-      ok = columns[p.dim].EnsureReadable(block) && ok;
-    }
-  }
-  for (int a = 0; a < query.num_aggs(); ++a) {
-    const AggregateSpec spec = query.agg_spec(a);
-    if (spec.op != AggKind::kCount) {
-      ok = columns[spec.column].EnsureReadable(block) && ok;
-    }
-  }
-  if (!ok) {
-    out->degraded = true;
-    ++out->quarantined_blocks;
-  }
-  return ok;
 }
 
 int ScanKernel::BuildSelection(int64_t begin, int64_t end, int64_t block,

@@ -42,12 +42,14 @@ inline constexpr int64_t kScanStopProbeRows = 16 * 1024;
 
 /// Per-scan execution options. `tier` is the one scan selector: it defaults
 /// to the block kernel at the best runtime-supported tier; kReference runs
-/// the row-at-a-time loop, and any other tier pins an instruction set (an
+/// the row-at-a-time loop (which one-row inexact ranges take at every
+/// tier), and any other tier pins an instruction set (an
 /// unsupported one degrades to the kNone scalar ops).
 ///
 /// `stop_probe` is the cooperative-cancellation seam: when non-null,
 /// ScanBatch slices ranges at block-aligned kScanStopProbeRows boundaries
-/// and calls `stop_probe(stop_arg)` between slices, abandoning the rest of
+/// and calls `stop_probe(stop_arg)` before a slice once kScanStopProbeRows
+/// rows or 64 slices have run since the last call, abandoning the rest of
 /// the batch once it returns true — so even one giant scan can be cancelled
 /// mid-flight. Kept as a raw function pointer + argument (not std::function)
 /// so ScanOptions stays trivially copyable; the slicing is block-aligned and
@@ -139,6 +141,11 @@ class ScanKernel {
 
  private:
   void ScanScalar(int64_t begin, int64_t end, const Query& query, bool exact,
+                  QueryResult* out) const;
+  // ScanScalar over a leading run of one-row inexact tasks (secondary-index
+  // probes), one row per task: integrity gate, filter checks with early
+  // exit, aggregate reads. Returns how many tasks it consumed.
+  size_t ScanRows(std::span<const RangeTask> tasks, const Query& query,
                   QueryResult* out) const;
   void ScanVectorized(int64_t begin, int64_t end, const Query& query,
                       const SimdOps& ops, QueryResult* out) const;

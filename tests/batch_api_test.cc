@@ -4,6 +4,7 @@
 //    indexes, and the access-path router), across thread counts and scan
 //    modes;
 //  * Prepare + ExecutePlan equals Execute;
+//  * every index's workload counters stay pinned to recorded sums;
 //  * one multi-aggregate pass equals N single-aggregate runs, down at the
 //    scan-kernel level too;
 //  * cancellation skips the remaining work and batch stats add up;
@@ -12,29 +13,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "src/baselines/full_scan.h"
-#include "src/baselines/grid_file.h"
-#include "src/baselines/kdtree.h"
-#include "src/baselines/octree.h"
-#include "src/baselines/qd_tree.h"
-#include "src/baselines/rtree.h"
-#include "src/baselines/single_dim.h"
-#include "src/baselines/ub_tree.h"
-#include "src/baselines/zm_index.h"
-#include "src/baselines/zorder.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
 #include "src/exec/task_scheduler.h"
 #include "src/flood/flood.h"
 #include "src/query/engine.h"
-#include "src/query/router.h"
-#include "src/secondary/secondary_index.h"
 #include "tests/test_support.h"
 
 namespace tsunami {
@@ -97,45 +88,8 @@ class BatchApiTest : public ::testing::Test {
     }
   }
 
-  struct Roster {
-    std::vector<std::unique_ptr<MultiDimIndex>> indexes;
-    std::unique_ptr<AccessPathRouter> router;
-
-    std::vector<const MultiDimIndex*> All() const {
-      std::vector<const MultiDimIndex*> all;
-      for (const auto& index : indexes) all.push_back(index.get());
-      if (router != nullptr) all.push_back(router.get());
-      return all;
-    }
-  };
-
-  Roster BuildRoster() const {
-    Roster roster;
-    auto& xs = roster.indexes;
-    xs.push_back(std::make_unique<FullScanIndex>(data_));
-    xs.push_back(std::make_unique<SingleDimIndex>(data_, workload_));
-    xs.push_back(std::make_unique<ZOrderIndex>(data_, ZOrderIndex::Options()));
-    xs.push_back(std::make_unique<HyperOctree>(data_, HyperOctree::Options()));
-    xs.push_back(std::make_unique<KdTree>(data_, workload_));
-    xs.push_back(
-        std::make_unique<GridFileIndex>(data_, GridFileIndex::Options()));
-    xs.push_back(std::make_unique<RTreeIndex>(data_, RTreeIndex::Options()));
-    xs.push_back(std::make_unique<UbTreeIndex>(data_, UbTreeIndex::Options()));
-    xs.push_back(std::make_unique<QdTreeIndex>(data_, workload_));
-    xs.push_back(std::make_unique<ZmIndex>(data_, ZmIndex::Options()));
-    xs.push_back(std::make_unique<FloodIndex>(data_, workload_));
-    TsunamiOptions options;
-    options.cluster_queries = false;
-    xs.push_back(std::make_unique<TsunamiIndex>(data_, workload_, options));
-    xs.push_back(std::make_unique<SortedSecondaryIndex>(data_, /*host_dim=*/0,
-                                                        /*key_dim=*/2));
-    xs.push_back(std::make_unique<CorrelationSecondaryIndex>(
-        data_, /*host_dim=*/0, /*key_dim=*/1));
-    roster.router = std::make_unique<AccessPathRouter>(
-        std::vector<const MultiDimIndex*>{xs[0].get(), xs[1].get(),
-                                          xs[12].get()},
-        data_, workload_);
-    return roster;
+  IndexRoster BuildRoster() const {
+    return BuildIndexRoster(data_, workload_);
   }
 
   Dataset data_;
@@ -143,7 +97,7 @@ class BatchApiTest : public ::testing::Test {
 };
 
 TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
-  Roster roster = BuildRoster();
+  IndexRoster roster = BuildRoster();
   Rng rng(72);
   for (const MultiDimIndex* index : roster.All()) {
     Workload shuffled = workload_;
@@ -177,7 +131,7 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
 }
 
 TEST_F(BatchApiTest, PrepareThenExecutePlanMatchesExecute) {
-  Roster roster = BuildRoster();
+  IndexRoster roster = BuildRoster();
   TaskScheduler scheduler(2);
   for (const MultiDimIndex* index : roster.All()) {
     ExecContext ctx(&scheduler);
@@ -190,8 +144,72 @@ TEST_F(BatchApiTest, PrepareThenExecutePlanMatchesExecute) {
   }
 }
 
+// Recorded workload totals for every index. The other tests here compare
+// execution surfaces with each other; this one pins the numbers the
+// reproduced figures report, so a change to what an index plans or counts
+// cannot hide behind two surfaces agreeing. `agg` folds every aggregate of
+// every query with wrapping adds.
+TEST_F(BatchApiTest, CountersPinnedForEveryIndex) {
+  struct Pinned {
+    const char* name;
+    int64_t agg, matched, scanned, cell_ranges;
+  };
+  const Pinned kPinned[] = {
+      {"FullScan", 547222921, 156241, 768000, 48},
+      {"SingleDim", 547222921, 156241, 183431, 48},
+      {"ZOrder", 547222921, 156241, 520704, 137},
+      {"Hyperoctree", 547222921, 156241, 407769, 220},
+      {"KdTree", 547222921, 156241, 408091, 110},
+      {"GridFile", 547222921, 156241, 736000, 48},
+      {"RTree", 547222921, 156241, 314112, 86},
+      {"UBTree", 547222921, 156241, 581376, 144},
+      {"Qd-tree", 547222921, 156241, 238510, 102},
+      {"ZM-index", 547222921, 156241, 523823, 48},
+      {"Flood", 547222921, 156241, 131225, 88},
+      {"Tsunami", 547222921, 156241, 130018, 342},
+      {"SecondaryBTree", 547222921, 156241, 251546, 124535},
+      {"SecondaryHermit", 547222921, 156241, 190629, 48},
+      {"Router", 547222921, 156241, 183431, 48},
+  };
+  IndexRoster roster = BuildRoster();
+  const std::vector<const MultiDimIndex*> all = roster.All();
+  ASSERT_EQ(all.size(), std::size(kPinned));
+  TaskScheduler scheduler(2);
+  for (size_t x = 0; x < all.size(); ++x) {
+    const MultiDimIndex& index = *all[x];
+    const Pinned& want = kPinned[x];
+    ASSERT_EQ(index.Name(), want.name);
+    auto check = [&](const std::vector<QueryResult>& results,
+                     const std::string& surface) {
+      uint64_t agg = 0;
+      int64_t matched = 0, scanned = 0, cell_ranges = 0;
+      for (size_t i = 0; i < results.size(); ++i) {
+        for (int a = 0; a < workload_[i].num_aggs(); ++a) {
+          agg += static_cast<uint64_t>(results[i].agg_value(a));
+        }
+        matched += results[i].matched;
+        scanned += results[i].scanned;
+        cell_ranges += results[i].cell_ranges;
+      }
+      const std::string context = index.Name() + " " + surface;
+      EXPECT_EQ(static_cast<int64_t>(agg), want.agg) << context;
+      EXPECT_EQ(matched, want.matched) << context;
+      EXPECT_EQ(scanned, want.scanned) << context;
+      EXPECT_EQ(cell_ranges, want.cell_ranges) << context;
+    };
+    std::vector<QueryResult> serial;
+    for (const Query& q : workload_) serial.push_back(index.Execute(q));
+    check(serial, "Execute");
+    for (SimdTier tier : ScanTierSweep()) {
+      ExecContext ctx(&scheduler, ScanOptions{tier});
+      check(RunWorkload(index, workload_, ctx),
+            std::string("ExecuteBatch ") + SimdTierName(tier));
+    }
+  }
+}
+
 TEST_F(BatchApiTest, MultiAggregateMatchesSingleAggregateRuns) {
-  Roster roster = BuildRoster();
+  IndexRoster roster = BuildRoster();
   std::vector<AggregateSpec> specs = {{AggKind::kSum, 1},
                                       {AggKind::kCount, 0},
                                       {AggKind::kMin, 0},

@@ -10,6 +10,7 @@
 #include "src/core/skeleton.h"
 #include "src/datasets/synthetic.h"
 #include "src/datasets/taxi.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -90,7 +91,7 @@ void CheckGridMatchesFullScan(const Benchmark& bench,
   for (const Query& q : bench.workload) {
     QueryResult expected = reference.Execute(q);
     QueryResult got;
-    grid.Execute(q, &got);
+    ScanGrid(grid, store, q, &got);
     ASSERT_EQ(got.agg, expected.agg) << skeleton.ToString();
     ASSERT_EQ(got.matched, expected.matched);
   }
@@ -144,7 +145,7 @@ TEST(AugmentedGridTest, EmptyRegionExecutesToZero) {
   Query q;
   q.filters = {Predicate{0, 0, 100}};
   QueryResult result;
-  grid.Execute(q, &result);
+  ScanGrid(grid, store, q, &result);
   EXPECT_EQ(result.agg, 0);
 }
 
@@ -174,7 +175,7 @@ TEST(AugmentedGridTest, SumAggregationMatches) {
     q.agg_dim = 2;
     QueryResult expected = reference.Execute(q);
     QueryResult got;
-    grid.Execute(q, &got);
+    ScanGrid(grid, store, q, &got);
     ASSERT_EQ(got.agg, expected.agg);
   }
 }

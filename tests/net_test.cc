@@ -645,23 +645,26 @@ TEST_F(NetTest, IdleConnectionsAreEvicted) {
   EXPECT_GE(harness.server().stats().evicted_idle, 1);
 }
 
-TEST_F(NetTest, StalledReaderIsEvicted) {
-  QueryService service(index_.get());
+// Many multi-aggregate responses (~KBs each) against 4KB socket buffers
+// and a reader that never reads: the server's write buffer stalls, and the
+// stall timer must evict the connection instead of buffering forever.
+// `tick_seconds` 0 keeps the harness's 2 ms tick.
+void ExpectStalledReaderEvicted(const MultiDimIndex* index,
+                                double tick_seconds, double stall_seconds) {
+  QueryService service(index);
   ServerOptions so;
   so.sndbuf_bytes = 4096;  // Tiny socket buffer: responses back up fast.
   so.pause_read_watermark = 16 << 10;
   so.resume_read_watermark = 4 << 10;
-  so.write_stall_timeout_seconds = 0.1;
+  so.write_stall_timeout_seconds = stall_seconds;
   so.idle_timeout_seconds = 30.0;  // Isolate: only the stall can evict.
   so.max_inflight_per_conn = 64;
+  if (tick_seconds > 0.0) so.tick_seconds = tick_seconds;
   ServerHarness harness(&service, so);
   ClientOptions copts = harness.ClientFor();
   copts.rcvbuf_bytes = 4096;  // Shrink the reader side too.
   TsunamiClient client(copts);
 
-  // Many multi-aggregate responses (~KBs each) against 4KB socket buffers
-  // and a reader that never reads: the server's write buffer stalls, and
-  // the stall timer evicts the connection instead of buffering forever.
   // The empty-range filter keeps execution cheap (no rows match); the
   // response still carries all 3000 accumulators.
   Query wide;
@@ -689,6 +692,18 @@ TEST_F(NetTest, StalledReaderIsEvicted) {
   // No ticket leaked: whatever was in flight when the connection died was
   // still awaited and discarded.
   EXPECT_EQ(harness.server().stats().inflight, 0);
+}
+
+TEST_F(NetTest, StalledReaderIsEvicted) {
+  ExpectStalledReaderEvicted(index_.get(), /*tick_seconds=*/0.0,
+                             /*stall_seconds=*/0.1);
+}
+
+// With a slow tick every reply is queued, and the write buffer stalls,
+// inside the loop's first tick. That stall's start must still count.
+TEST_F(NetTest, StallStartingInFirstTickIsEvicted) {
+  ExpectStalledReaderEvicted(index_.get(), /*tick_seconds=*/0.5,
+                             /*stall_seconds=*/1.0);
 }
 
 TEST_F(NetTest, GracefulDrainFinishesInflightAndRejectsNew) {

@@ -9,6 +9,7 @@
 #include "src/core/optimizer.h"
 #include "src/datasets/synthetic.h"
 #include "src/datasets/tpch.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -91,7 +92,7 @@ TEST(CostModelTest, PredictionTracksActualCounters) {
   for (const Query& q : bench.workload) {
     predicted += eval.PredictQueryNanos(s, partitions, w, q);
     QueryResult result;
-    grid.Execute(q, &result);
+    ScanGrid(grid, store, q, &result);
     actual += static_cast<double>(result.scanned) * q.filters.size();
   }
   ASSERT_GT(actual, 0.0);

@@ -8,6 +8,7 @@
 #include "src/baselines/full_scan.h"
 #include "src/common/random.h"
 #include "src/core/augmented_grid.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -82,7 +83,7 @@ TEST(OutlierBufferTest, QueriesStillExactOnEveryShape) {
       q.filters.push_back(Predicate{0, lo, lo + rng.UniformValue(0, 300000)});
     }
     QueryResult got;
-    grid.Execute(q, &got);
+    ScanGrid(grid, store, q, &got);
     ASSERT_EQ(got.agg, reference.Execute(q).agg) << "trial " << trial;
   }
 }
@@ -99,7 +100,7 @@ TEST(OutlierBufferTest, OutlierOnlyQueriesAreFound) {
   Query q;
   q.filters = {Predicate{1, 500000000, 600000000}};
   QueryResult got;
-  grid.Execute(q, &got);
+  ScanGrid(grid, store, q, &got);
   QueryResult expected = reference.Execute(q);
   EXPECT_EQ(got.agg, expected.agg);
   EXPECT_EQ(got.agg, 10);
@@ -119,8 +120,8 @@ TEST(OutlierBufferTest, BufferShrinksScannedPoints) {
   Query q;
   q.filters = {Predicate{1, 1000000, 1040000}};  // Narrow y band.
   QueryResult scanned_with, scanned_without;
-  with_buffer.Execute(q, &scanned_with);
-  without_buffer.Execute(q, &scanned_without);
+  ScanGrid(with_buffer, store_with, q, &scanned_with);
+  ScanGrid(without_buffer, store_without, q, &scanned_without);
   EXPECT_EQ(scanned_with.agg, scanned_without.agg);
   EXPECT_LT(scanned_with.scanned * 4, scanned_without.scanned);
 }

@@ -397,6 +397,30 @@ TEST_F(QueryServiceTest, CancelLandsMidScanInsideOneGiantRange) {
   ExpectBitIdentical(got, InitResult(q), "deadline");
 }
 
+TEST_F(QueryServiceTest, CancelLandsInsideARunOfOneRowTasks) {
+  // A secondary-index probe plan is thousands of one-row tasks; the probe
+  // is amortized over them but must still stop the run part-way.
+  ColumnStore store(data_);
+  Query q = Region();
+  std::vector<RangeTask> rows;
+  for (int64_t r = 0; r < 10000; ++r) {
+    rows.push_back(RangeTask{r, r + 1, /*exact=*/false});
+  }
+  std::atomic<int> calls{0};
+  ScanOptions options;
+  options.stop_probe = [](const void* arg) {
+    auto* n = const_cast<std::atomic<int>*>(
+        static_cast<const std::atomic<int>*>(arg));
+    return n->fetch_add(1, std::memory_order_relaxed) > 0;
+  };
+  options.stop_arg = &calls;
+  QueryResult partial = InitResult(q);
+  store.ScanRanges(rows, q, &partial, options);
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_GT(partial.scanned, 0);
+  EXPECT_LT(partial.scanned, 1000);
+}
+
 TEST_F(QueryServiceTest, ProbedUncancelledScanIsBitIdentical) {
   // The probe slices the scan into sub-ranges; when the probe never fires,
   // the sliced scan must equal the unsliced one bit for bit, in every tier.

@@ -1,19 +1,23 @@
 // Tests for access-path routing (src/query/router.*): calibration must
 // learn that needle lookups belong on the secondary index and wide range
-// scans on the clustered index, routing must stay correct, and degenerate
-// inputs must not crash.
+// scans on the clustered index, routing must stay correct and repeat
+// exactly, every index's plan must be priced by the cost model it routes
+// by, and degenerate inputs must not crash.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/baselines/full_scan.h"
 #include "src/baselines/single_dim.h"
 #include "src/common/random.h"
+#include "src/core/cost_model.h"
 #include "src/core/tsunami.h"
 #include "src/query/engine.h"
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -105,6 +109,85 @@ TEST_F(RouterTest, DescribeListsTypesAndWinners) {
   EXPECT_NE(table.find(clustered_->Name()), std::string::npos);
   EXPECT_NE(table.find(secondary_->Name()), std::string::npos);
   EXPECT_NE(table.find("fallback"), std::string::npos);
+}
+
+TEST_F(RouterTest, EqualInputsPrintEqualTables) {
+  // Calibration prices plans instead of timing executions, so the learned
+  // table, winners included, is a pure function of its inputs.
+  AccessPathRouter first({clustered_.get(), secondary_.get()}, data_,
+                         calibration_);
+  AccessPathRouter second({clustered_.get(), secondary_.get()}, data_,
+                          calibration_);
+  EXPECT_EQ(first.Describe(), second.Describe());
+}
+
+TEST_F(RouterTest, SecondaryNeedlePlanPricesAtTheModel) {
+  // The order key is dense and unique, so [k, k + K - 1] matches K rows:
+  // K one-row probe ranges, each scanning its filtered dimensions (and,
+  // for a SUM, its aggregate column).
+  constexpr int64_t kMatches = 37;
+  const CostWeights weights{/*w0=*/7.0, /*w1=*/3.0};
+  for (int filtered : {1, 2}) {
+    for (int agg_cols : {0, 1}) {
+      Query q;
+      q.filters = {Predicate{1, 5000, 5000 + kMatches - 1}};
+      if (filtered == 2) q.filters.push_back(Predicate{2, 0, 499});
+      if (agg_cols == 1) q.SetAggregates({AggregateSpec{AggKind::kSum, 2}});
+      QueryPlan plan = secondary_->Prepare(q);
+      ASSERT_EQ(static_cast<int64_t>(plan.tasks.size()), kMatches);
+      EXPECT_EQ(plan.counters.cell_ranges, kMatches);
+      EXPECT_DOUBLE_EQ(PredictPlanNanos(plan, weights),
+                       weights.w0 * kMatches +
+                           weights.w1 * kMatches * (filtered + agg_cols))
+          << filtered << " filtered dims, " << agg_cols << " agg columns";
+      // The probes answer exactly what a full scan does.
+      FullScanIndex full(data_);
+      QueryResult got = secondary_->Execute(q);
+      QueryResult want = full.Execute(q);
+      EXPECT_EQ(got.matched, want.matched);
+      EXPECT_EQ(got.agg, want.agg);
+    }
+  }
+}
+
+TEST_F(RouterTest, EveryIndexPricesAMatchingQueryAboveZero) {
+  // A plan that predicts 0 for a query with answers hides its scan from
+  // the router and from admission control. Every index plans its scan as
+  // RangeTasks, so none may.
+  constexpr int64_t kRows = 20000;
+  Dataset slice(data_.dims(), {});
+  for (int64_t r = 0; r < kRows; ++r) {
+    slice.AppendRow({data_.at(r, 0), data_.at(r, 1), data_.at(r, 2)});
+  }
+  // Needles on dimension 1 (SecondaryHermit's key) and date ranges inside
+  // the slice; a third also filter dimension 2 (SecondaryBTree's key), so
+  // both secondary indexes take their key paths too.
+  Rng rng(7);
+  Workload workload;
+  for (int i = 0; i < 30; ++i) {
+    Query q;
+    if (i % 2 == 0) {
+      Value k = rng.UniformValue(0, kRows - 1);
+      q.filters = {Predicate{1, k, k + i}};
+    } else {
+      Value lo = rng.UniformValue(0, kRows / 40 - 100);
+      q.filters = {Predicate{0, lo, lo + 50}};
+    }
+    if (i % 3 == 0) q.filters.push_back(Predicate{2, 0, 899});
+    workload.push_back(q);
+  }
+  IndexRoster roster = BuildIndexRoster(slice, workload);
+  FullScanIndex full(slice);
+  int matching = 0;
+  for (const Query& q : workload) {
+    if (full.Execute(q).matched == 0) continue;
+    ++matching;
+    for (const MultiDimIndex* index : roster.All()) {
+      EXPECT_GT(PredictPlanNanos(index->Prepare(q), CostWeights{}), 0.0)
+          << index->Name();
+    }
+  }
+  EXPECT_GE(matching, 25);
 }
 
 TEST_F(RouterTest, EmptyCalibrationRoutesToFirstIndex) {

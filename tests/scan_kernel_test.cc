@@ -304,6 +304,33 @@ TEST(ScanKernelTest, BatchMatchesSequentialScans) {
   }
 }
 
+// One-row inexact tasks (secondary-index probes) take the row-at-a-time
+// path at every tier; probing each row of a span must give what scanning
+// the span as one range gives in every tier's kernel.
+TEST(ScanKernelTest, OneRowTasksMatchOneRange) {
+  Dataset data = MakeData(20000, 3, /*clustered=*/true, 913);
+  ColumnStore store(data);
+  Rng rng(914);
+  for (SimdTier tier : ScanTierSweep()) {
+    SCOPED_TRACE(SimdTierName(tier));
+    for (int trial = 0; trial < 40; ++trial) {
+      Query q = RandomQuery(&rng, 3, 1 + trial % 3, kAggs[trial % 5]);
+      const int64_t begin = rng.UniformValue(0, store.size() - 1);
+      const int64_t end =
+          std::min(store.size(), begin + rng.UniformValue(1, 3000));
+      std::vector<RangeTask> rows;
+      for (int64_t r = begin; r < end; ++r) {
+        rows.push_back(RangeTask{r, r + 1, /*exact=*/false});
+      }
+      QueryResult probed = InitResult(q), ranged = InitResult(q);
+      store.ScanRanges(rows, q, &probed, ScanOptions{tier});
+      store.ScanRange(begin, end, q, /*exact=*/false, &ranged,
+                      ScanOptions{tier});
+      ExpectSameResult(probed, ranged, "one-row tasks");
+    }
+  }
+}
+
 TEST(ScanKernelTest, ParallelRangeTasksMatchSerial) {
   Dataset data = MakeData(50000, 3, /*clustered=*/true, 909);
   ColumnStore store(data);
@@ -360,32 +387,10 @@ TEST(ScanKernelTest, GridWithOutlierBufferCrossChecksAllAggregates) {
       q.filters.push_back(Predicate{0, xlo, xlo + rng.UniformValue(0, 300000)});
     }
     QueryResult got = InitResult(q);
-    grid.Execute(q, &got);
+    ScanGrid(grid, store, q, &got);
     QueryResult expected = reference.Execute(q);
     EXPECT_EQ(got.agg, expected.agg) << "trial " << trial;
     EXPECT_EQ(got.matched, expected.matched) << "trial " << trial;
-  }
-}
-
-TEST(ScanKernelTest, PlanRangesMatchesExecute) {
-  Dataset data = MakeData(20000, 3, /*clustered=*/false, 912);
-  Skeleton s = Skeleton::AllIndependent(3);
-  AugmentedGrid grid;
-  std::vector<uint32_t> rows(data.size());
-  std::iota(rows.begin(), rows.end(), 0u);
-  grid.Build(data, &rows, s, {8, 8, 8}, {});
-  ColumnStore store(data, rows);
-  grid.Attach(&store, 0);
-  Rng rng(913);
-  for (int trial = 0; trial < 100; ++trial) {
-    Query q = RandomQuery(&rng, 3, 1 + trial % 3, kAggs[trial % 5]);
-    QueryResult direct = InitResult(q);
-    grid.Execute(q, &direct);
-    QueryResult planned = InitResult(q);
-    std::vector<RangeTask> tasks;
-    grid.PlanRanges(q, &tasks, &planned);
-    store.ScanRanges(tasks, q, &planned);
-    ExpectSameResult(planned, direct, "plan+scan");
   }
 }
 

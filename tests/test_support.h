@@ -1,7 +1,8 @@
-// Helpers shared by the test suites: the scan-tier sweep, a scheduler jam
-// that keeps submitted work queued on purpose, an ingesting store whose
-// delta spans both chunk forms (sealed + open) for the executor-epilogue
-// tests, and a wrapper that records the scan options an epilogue received.
+// Helpers shared by the test suites: the scan-tier sweep, every index of
+// the library built over one table, a grid's plan-then-scan execution, a
+// scheduler jam that keeps submitted work queued on purpose, an ingesting store whose delta spans both chunk forms
+// (sealed + open) for the executor-epilogue tests, and a wrapper that
+// records the scan options an epilogue received.
 #ifndef TSUNAMI_TESTS_TEST_SUPPORT_H_
 #define TSUNAMI_TESTS_TEST_SUPPORT_H_
 
@@ -13,10 +14,25 @@
 #include <thread>
 #include <vector>
 
+#include "src/baselines/full_scan.h"
+#include "src/baselines/grid_file.h"
+#include "src/baselines/kdtree.h"
+#include "src/baselines/octree.h"
+#include "src/baselines/qd_tree.h"
+#include "src/baselines/rtree.h"
+#include "src/baselines/single_dim.h"
+#include "src/baselines/ub_tree.h"
+#include "src/baselines/zm_index.h"
+#include "src/baselines/zorder.h"
 #include "src/common/index.h"
 #include "src/common/types.h"
+#include "src/core/augmented_grid.h"
+#include "src/core/tsunami.h"
 #include "src/exec/task_scheduler.h"
+#include "src/flood/flood.h"
 #include "src/ingest/ingest_store.h"
+#include "src/query/router.h"
+#include "src/secondary/secondary_index.h"
 #include "src/storage/simd_dispatch.h"
 
 namespace tsunami {
@@ -32,6 +48,62 @@ inline std::vector<SimdTier> ScanTierSweep() {
     if (SimdTierSupported(tier)) tiers.push_back(tier);
   }
   return tiers;
+}
+
+/// Every index of the library over one 3-dimensional table: the ten
+/// baselines, Flood, Tsunami, both secondary indexes (host dimension 0;
+/// keys 2 and 1), and a router over FullScan, SingleDim and SecondaryBTree
+/// calibrated on `workload`.
+struct IndexRoster {
+  std::vector<std::unique_ptr<MultiDimIndex>> indexes;
+  std::unique_ptr<AccessPathRouter> router;
+
+  std::vector<const MultiDimIndex*> All() const {
+    std::vector<const MultiDimIndex*> all;
+    for (const auto& index : indexes) all.push_back(index.get());
+    if (router != nullptr) all.push_back(router.get());
+    return all;
+  }
+};
+
+inline IndexRoster BuildIndexRoster(const Dataset& data,
+                                    const Workload& workload) {
+  IndexRoster roster;
+  auto& xs = roster.indexes;
+  xs.push_back(std::make_unique<FullScanIndex>(data));
+  xs.push_back(std::make_unique<SingleDimIndex>(data, workload));
+  xs.push_back(std::make_unique<ZOrderIndex>(data, ZOrderIndex::Options()));
+  xs.push_back(std::make_unique<HyperOctree>(data, HyperOctree::Options()));
+  xs.push_back(std::make_unique<KdTree>(data, workload));
+  xs.push_back(
+      std::make_unique<GridFileIndex>(data, GridFileIndex::Options()));
+  xs.push_back(std::make_unique<RTreeIndex>(data, RTreeIndex::Options()));
+  xs.push_back(std::make_unique<UbTreeIndex>(data, UbTreeIndex::Options()));
+  xs.push_back(std::make_unique<QdTreeIndex>(data, workload));
+  xs.push_back(std::make_unique<ZmIndex>(data, ZmIndex::Options()));
+  xs.push_back(std::make_unique<FloodIndex>(data, workload));
+  TsunamiOptions options;
+  options.cluster_queries = false;
+  xs.push_back(std::make_unique<TsunamiIndex>(data, workload, options));
+  xs.push_back(std::make_unique<SortedSecondaryIndex>(data, /*host_dim=*/0,
+                                                      /*key_dim=*/2));
+  xs.push_back(std::make_unique<CorrelationSecondaryIndex>(
+      data, /*host_dim=*/0, /*key_dim=*/1));
+  roster.router = std::make_unique<AccessPathRouter>(
+      std::vector<const MultiDimIndex*>{xs[0].get(), xs[1].get(),
+                                        xs[12].get()},
+      data, workload);
+  return roster;
+}
+
+/// Runs `query` over `grid` the way its owning index does: PlanRanges, then
+/// one batched scan of the planned ranges against `store` (the store the
+/// grid is attached to), accumulating into `out`.
+inline void ScanGrid(const AugmentedGrid& grid, const ColumnStore& store,
+                     const Query& query, QueryResult* out) {
+  std::vector<RangeTask> tasks;
+  grid.PlanRanges(query, &tasks, out);
+  store.ScanRanges(tasks, query, out);
 }
 
 /// Occupies every worker of `scheduler` until Release() — the deterministic
@@ -109,9 +181,6 @@ class EpilogueTierSpy : public MultiDimIndex {
   explicit EpilogueTierSpy(const MultiDimIndex* inner) : inner_(inner) {}
 
   std::string Name() const override { return inner_->Name(); }
-  QueryResult Execute(const Query& query) const override {
-    return inner_->Execute(query);
-  }
   QueryPlan Prepare(const Query& query) const override {
     return inner_->Prepare(query);
   }

@@ -18,6 +18,7 @@
 #include "src/core/optimizer.h"
 #include "src/core/skeleton.h"
 #include "src/storage/column_store.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -83,7 +84,7 @@ TEST_P(CostModelCounterTest, FeaturesTrackExecutionCounters) {
     predicted_scan += evaluator.PredictQueryNanos(
         plan.skeleton, plan.partitions, scan_only, q, plan.sort_dim);
     QueryResult r = InitResult(q);
-    grid.Execute(q, &r);
+    ScanGrid(grid, store, q, &r);
     actual_ranges += static_cast<double>(r.cell_ranges);
     actual_scan += static_cast<double>(r.scanned) *
                    static_cast<double>(q.filters.size());
