@@ -463,7 +463,9 @@ InsertResult DurableIngestStore::TryInsertBatch(
   // the ordinal, so concurrent writers encode in parallel here; the
   // sequencer lock below only covers the frame prefix, a memcpy, and the
   // in-memory apply.
-  const std::string payload = EncodeRowBatchPayload(rows);
+  BinaryWriter batch;
+  batch.PutRowBatch(rows);
+  const std::string payload = batch.Release();
   ResourceGovernor* const gov = options_.ingest.governor;
   uint64_t lsn = 0;
   std::shared_ptr<WalWriter> wal;
@@ -490,8 +492,7 @@ InsertResult DurableIngestStore::TryInsertBatch(
       ++stats_.resource_rejections;
       return InsertResult::kResourceExhausted;
     }
-    std::string frame = FrameRowBatchPayload(next_ordinal_, rows.size(),
-                                             rows.front().size(), payload);
+    std::string frame = FrameRowBatchPayload(next_ordinal_, payload);
     const int64_t frame_bytes = static_cast<int64_t>(frame.size());
     lsn = wal_->Append(std::move(frame));
     if (lsn == 0) return LatchFailureLocked(wal_->failure());

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -16,18 +15,6 @@ namespace durability {
 
 namespace {
 
-uint32_t ReadFixed32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // Little-endian hosts only, like the rest of the serializer.
-}
-
-uint64_t ReadFixed64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 bool FsyncData(int fd) {
 #if defined(__linux__)
   return ::fdatasync(fd) == 0;
@@ -38,105 +25,38 @@ bool FsyncData(int fd) {
 
 }  // namespace
 
-namespace {
-
-std::string FrameBody(const std::string& body) {
-  BinaryWriter frame;
-  frame.PutFixed32(static_cast<uint32_t>(body.size()));
-  frame.PutFixed64(XxHash64(body, kWalHashSeed));
-  std::string out = frame.Release();
-  out += body;
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-inline uint64_t Zigzag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-inline char* PutVar(char* p, uint64_t v) {
-  while (v >= 0x80) {
-    *p++ = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  *p++ = static_cast<char>(static_cast<uint8_t>(v));
-  return p;
-}
-
-}  // namespace
-
-std::string EncodeRowBatchPayload(
-    const std::vector<std::vector<Value>>& rows) {
-  // The insert hot path: every acked row runs through here, so the payload
-  // is built in one allocation with raw varint writes instead of
-  // BinaryWriter's byte-at-a-time appends.
-  const size_t dims = rows.empty() ? 1 : rows.front().size();
-  std::string out;
-  out.resize(rows.size() * dims * 10);
-  char* p = out.data();
-  for (const std::vector<Value>& row : rows) {
-    for (Value v : row) p = PutVar(p, Zigzag(v));
-  }
-  out.resize(static_cast<size_t>(p - out.data()));
-  return out;
-}
-
-std::string FrameRowBatchPayload(int64_t first_ordinal, size_t row_count,
-                                 size_t dims, std::string_view payload) {
-  std::string out;
-  out.resize(kWalFrameHeaderSize + 1 + 3 * 10 + payload.size());
+std::string FrameRowBatchPayload(int64_t first_ordinal,
+                                 std::string_view batch) {
+  std::string out(kWalFrameHeaderSize + 1 + kMaxVarintBytes + batch.size(),
+                  '\0');
   char* const body = out.data() + kWalFrameHeaderSize;
   char* p = body;
   *p++ = static_cast<char>(WalRecordType::kRowBatch);
-  p = PutVar(p, Zigzag(first_ordinal));
-  p = PutVar(p, row_count);
-  p = PutVar(p, dims);
-  std::memcpy(p, payload.data(), payload.size());
-  p += payload.size();
+  p = StoreVarint(p, ZigzagEncode(first_ordinal));
+  std::memcpy(p, batch.data(), batch.size());
+  p += batch.size();
   const uint32_t body_len = static_cast<uint32_t>(p - body);
   out.resize(kWalFrameHeaderSize + body_len);
-  const uint64_t hash = XxHash64(
-      std::string_view(out.data() + kWalFrameHeaderSize, body_len),
-      kWalHashSeed);
-  // Little-endian hosts only, matching ReadFixed32/64 above.
-  std::memcpy(out.data(), &body_len, sizeof(body_len));
-  std::memcpy(out.data() + 4, &hash, sizeof(hash));
+  StoreFixed<uint32_t>(out.data(), body_len);
+  StoreFixed<uint64_t>(out.data() + 4,
+                       XxHash64(std::string_view(body, body_len),
+                                kWalHashSeed));
   return out;
 }
 
 std::string EncodeRowBatchRecord(int64_t first_ordinal,
                                  const std::vector<std::vector<Value>>& rows) {
-  // The wire bytes are identical to EncodeWalRecord's (wal_test asserts it).
-  return FrameRowBatchPayload(first_ordinal, rows.size(),
-                              rows.empty() ? 1 : rows.front().size(),
-                              EncodeRowBatchPayload(rows));
-}
-
-std::string EncodeWalRecord(const WalRecord& record) {
-  BinaryWriter body;
-  body.PutU8(static_cast<uint8_t>(record.type));
-  body.PutVarI64(record.first_ordinal);
-  body.PutVarU64(record.rows.size());
-  // Derive the row width from the rows themselves (record.dims is an output
-  // of decoding, not an input): a mismatch here would frame a record that
-  // fails its own decode.
-  body.PutVarU64(record.rows.empty() ? std::max(record.dims, 1)
-                                     : record.rows.front().size());
-  for (const std::vector<Value>& row : record.rows) {
-    for (Value v : row) body.PutVarI64(v);
-  }
-  return FrameBody(body.buffer());
+  BinaryWriter batch;
+  batch.PutRowBatch(rows);
+  return FrameRowBatchPayload(first_ordinal, batch.buffer());
 }
 
 FileError DecodeWalFrame(std::string_view data, size_t* offset,
                          WalRecord* out) {
   const size_t start = *offset;
   if (data.size() - start < kWalFrameHeaderSize) return FileError::kTruncated;
-  const uint32_t body_len = ReadFixed32(data.data() + start);
-  const uint64_t body_hash = ReadFixed64(data.data() + start + 4);
+  const uint32_t body_len = LoadFixed<uint32_t>(data.data() + start);
+  const uint64_t body_hash = LoadFixed<uint64_t>(data.data() + start + 4);
   // A length beyond the cap is a corrupt header, not an allocation request.
   if (body_len > kMaxWalBodyBytes) return FileError::kChecksumMismatch;
   if (data.size() - start - kWalFrameHeaderSize < body_len) {
@@ -147,28 +67,18 @@ FileError DecodeWalFrame(std::string_view data, size_t* offset,
     return FileError::kChecksumMismatch;
   }
 
+  // The hash already vouches for the bytes; the decode checks only catch
+  // encoder bugs, and a mismatch still fails typed instead of allocating
+  // wildly (GetRowBatch bounds rows x dims by the bytes left).
   BinaryReader reader(body);
   WalRecord record;
-  uint8_t type = reader.GetU8();
+  const uint8_t type = reader.GetU8();
   record.first_ordinal = reader.GetVarI64();
-  uint64_t row_count = reader.GetVarU64();
-  uint64_t dims = reader.GetVarU64();
-  // The hash already vouches for the bytes; these guards only catch encoder
-  // bugs, and a mismatch still fails typed instead of allocating wildly.
-  if (!reader.ok() || type != static_cast<uint8_t>(WalRecordType::kRowBatch) ||
-      dims == 0 || dims > body.size() || row_count > body.size() ||
-      row_count * dims > body.size()) {
+  if (type != static_cast<uint8_t>(WalRecordType::kRowBatch) ||
+      !reader.GetRowBatch(kMaxWalBodyBytes, kMaxWalBodyBytes, &record.rows) ||
+      !reader.AtEnd()) {
     return FileError::kChecksumMismatch;
   }
-  record.dims = static_cast<int>(dims);
-  record.rows.resize(row_count);
-  for (uint64_t r = 0; r < row_count; ++r) {
-    record.rows[r].resize(dims);
-    for (uint64_t d = 0; d < dims; ++d) {
-      record.rows[r][d] = reader.GetVarI64();
-    }
-  }
-  if (!reader.ok() || !reader.AtEnd()) return FileError::kChecksumMismatch;
   *out = std::move(record);
   *offset = start + kWalFrameHeaderSize + body_len;
   return FileError::kNone;

@@ -8,8 +8,16 @@
 // Record framing within a segment (all little-endian):
 //   fixed32 body_len | fixed64 XxHash64(body, kWalHashSeed) | body
 // body:
-//   u8 record type | varint first_ordinal | varint row_count | varint dims |
-//   row-major zigzag-varint values
+//   u8 record type | zigzag-varint first_ordinal | row batch
+// where the row batch is src/io's one row-batch layout (BinaryWriter::
+// PutRowBatch: varint row_count | varint dims | row-major zigzag-varint
+// values), byte for byte the client's kInsert payload.
+//
+// Hot-path encoding: a writer builds the row batch OUTSIDE the insert
+// sequencer lock (it is the expensive part of framing, and nothing in it
+// depends on the ordinal the batch will be assigned); inside the lock,
+// FrameRowBatchPayload writes only the type byte, the ordinal, one memcpy
+// and the hash header.
 //
 // The frame hash (not a CRC over the whole file) is what makes the tail
 // torn-tolerant: a crash mid-append leaves either a partial frame
@@ -92,30 +100,18 @@ enum class WalFailure : uint8_t {
 struct WalRecord {
   WalRecordType type = WalRecordType::kRowBatch;
   int64_t first_ordinal = 0;
-  int dims = 0;
   std::vector<std::vector<Value>> rows;
 };
 
-/// Encodes `record` as a framed byte string ready for WalWriter::Append.
-std::string EncodeWalRecord(const WalRecord& record);
+/// Completes a frame from a row batch encoded by BinaryWriter::PutRowBatch:
+/// prepends the record type and `first_ordinal`, then the hash header.
+std::string FrameRowBatchPayload(int64_t first_ordinal,
+                                 std::string_view batch);
 
-/// Frames a row batch directly (no WalRecord materialization — the hot
-/// insert path uses this).
+/// PutRowBatch + FrameRowBatchPayload in one call, for tests (the insert
+/// path splits the two around its sequencer lock).
 std::string EncodeRowBatchRecord(int64_t first_ordinal,
                                  const std::vector<std::vector<Value>>& rows);
-
-/// The ordinal-independent part of a row-batch body (the row-major zigzag
-/// varints). Writers build this OUTSIDE the insert sequencer lock — it is
-/// the expensive part of framing, and nothing in it depends on the ordinal
-/// the batch will be assigned — then hand it to FrameRowBatchPayload inside
-/// the lock, which only writes the short prefix and one memcpy.
-std::string EncodeRowBatchPayload(const std::vector<std::vector<Value>>& rows);
-
-/// Completes a frame from a pre-encoded payload: prepends the record
-/// prefix (type, first_ordinal, row_count, dims) and the hash header.
-/// Byte-identical to EncodeRowBatchRecord on the same rows.
-std::string FrameRowBatchPayload(int64_t first_ordinal, size_t row_count,
-                                 size_t dims, std::string_view payload);
 
 /// Decodes the frame starting at `data[*offset]`. On success advances
 /// `*offset` past the frame and returns FileError::kNone. kTruncated means
@@ -179,8 +175,9 @@ class WalWriter {
   /// Why the log failed (kNone while healthy). Latched with failed_.
   WalFailure failure() const;
 
-  /// Enqueues one framed record (from EncodeWalRecord) and returns its LSN
-  /// (1-based, monotone across rotations). Returns 0 if the log has failed.
+  /// Enqueues one framed record (from FrameRowBatchPayload) and returns its
+  /// LSN (1-based, monotone across rotations). Returns 0 if the log has
+  /// failed.
   uint64_t Append(std::string frame);
 
   /// Blocks until every record with LSN <= `lsn` is written and fsync'd.

@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "src/common/fault_injection.h"
 
@@ -50,23 +52,9 @@ constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
 constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
 constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
 
-uint64_t XxRotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
-
-uint64_t XxRead64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // Little-endian hosts only, like the rest of the serializer.
-}
-
-uint32_t XxRead32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 uint64_t XxRound(uint64_t acc, uint64_t input) {
   acc += input * kXxPrime2;
-  acc = XxRotl(acc, 31);
+  acc = std::rotl(acc, 31);
   return acc * kXxPrime1;
 }
 
@@ -88,13 +76,14 @@ uint64_t XxHash64(std::string_view data, uint64_t seed) {
     uint64_t v4 = seed - kXxPrime1;
     const char* const limit = end - 32;
     do {
-      v1 = XxRound(v1, XxRead64(p));
-      v2 = XxRound(v2, XxRead64(p + 8));
-      v3 = XxRound(v3, XxRead64(p + 16));
-      v4 = XxRound(v4, XxRead64(p + 24));
+      v1 = XxRound(v1, LoadFixed<uint64_t>(p));
+      v2 = XxRound(v2, LoadFixed<uint64_t>(p + 8));
+      v3 = XxRound(v3, LoadFixed<uint64_t>(p + 16));
+      v4 = XxRound(v4, LoadFixed<uint64_t>(p + 24));
       p += 32;
     } while (p <= limit);
-    h = XxRotl(v1, 1) + XxRotl(v2, 7) + XxRotl(v3, 12) + XxRotl(v4, 18);
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
     h = XxMergeRound(h, v1);
     h = XxMergeRound(h, v2);
     h = XxMergeRound(h, v3);
@@ -104,18 +93,18 @@ uint64_t XxHash64(std::string_view data, uint64_t seed) {
   }
   h += static_cast<uint64_t>(data.size());
   while (p + 8 <= end) {
-    h ^= XxRound(0, XxRead64(p));
-    h = XxRotl(h, 27) * kXxPrime1 + kXxPrime4;
+    h ^= XxRound(0, LoadFixed<uint64_t>(p));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
     p += 8;
   }
   if (p + 4 <= end) {
-    h ^= static_cast<uint64_t>(XxRead32(p)) * kXxPrime1;
-    h = XxRotl(h, 23) * kXxPrime2 + kXxPrime3;
+    h ^= static_cast<uint64_t>(LoadFixed<uint32_t>(p)) * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
     p += 4;
   }
   while (p < end) {
     h ^= static_cast<uint8_t>(*p) * kXxPrime5;
-    h = XxRotl(h, 11) * kXxPrime1;
+    h = std::rotl(h, 11) * kXxPrime1;
     ++p;
   }
   h ^= h >> 33;
@@ -124,35 +113,6 @@ uint64_t XxHash64(std::string_view data, uint64_t seed) {
   h *= kXxPrime3;
   h ^= h >> 32;
   return h;
-}
-
-void BinaryWriter::PutFixed32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void BinaryWriter::PutFixed64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void BinaryWriter::PutVarU64(uint64_t v) {
-  while (v >= 0x80) {
-    PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  PutU8(static_cast<uint8_t>(v));
-}
-
-void BinaryWriter::PutVarI64(int64_t v) {
-  // Zigzag: small magnitudes of either sign stay short.
-  PutVarU64((static_cast<uint64_t>(v) << 1) ^
-            static_cast<uint64_t>(v >> 63));
-}
-
-void BinaryWriter::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutFixed64(bits);
 }
 
 void BinaryWriter::PutString(std::string_view s) {
@@ -175,24 +135,23 @@ void BinaryWriter::PutDoubleVec(const std::vector<double>& values) {
   for (double v : values) PutDouble(v);
 }
 
-uint8_t BinaryReader::GetU8() {
-  if (!ok_ || pos_ >= data_.size()) {
-    ok_ = false;
-    return 0;
+void BinaryWriter::PutRowBatch(const std::vector<std::vector<Value>>& rows) {
+  size_t values = 0;
+  for (const std::vector<Value>& row : rows) values += row.size();
+  // Encode into worst-case scratch, then append only the bytes used: the
+  // worst case is several times the encoded size, and callers hold
+  // batches (WAL queues, client send buffers, pre-encoded load). Sizing the
+  // batch exactly first would save the copy but costs more than it: a
+  // second pass over every value.
+  const auto scratch = std::make_unique_for_overwrite<char[]>(
+      (2 + values) * kMaxVarintBytes);
+  char* p = scratch.get();
+  p = StoreVarint(p, rows.size());
+  p = StoreVarint(p, rows.empty() ? 0 : rows.front().size());
+  for (const std::vector<Value>& row : rows) {
+    for (Value v : row) p = StoreVarint(p, ZigzagEncode(v));
   }
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-uint32_t BinaryReader::GetFixed32() {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
-  return v;
-}
-
-uint64_t BinaryReader::GetFixed64() {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
-  return v;
+  buffer_.append(scratch.get(), static_cast<size_t>(p - scratch.get()));
 }
 
 uint64_t BinaryReader::GetVarU64() {
@@ -202,31 +161,14 @@ uint64_t BinaryReader::GetVarU64() {
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return ok_ ? v : 0;
   }
-  ok_ = false;  // Varint longer than 10 bytes.
+  ok_ = false;  // Varint longer than kMaxVarintBytes.
   return 0;
 }
 
-int64_t BinaryReader::GetVarI64() {
-  uint64_t z = GetVarU64();
-  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-double BinaryReader::GetDouble() {
-  uint64_t bits = GetFixed64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return ok_ ? v : 0.0;
-}
-
 std::string BinaryReader::GetString() {
-  uint64_t n = GetVarU64();
-  if (!ok_ || n > remaining()) {
-    ok_ = false;
-    return std::string();
-  }
-  std::string s(data_.substr(pos_, n));
-  pos_ += n;
-  return s;
+  const uint64_t n = GetVarU64();
+  const char* p = Take(n);
+  return p != nullptr ? std::string(p, n) : std::string();
 }
 
 bool BinaryReader::GetValueVec(std::vector<Value>* out) {
@@ -266,6 +208,24 @@ bool BinaryReader::GetDoubleVec(std::vector<double>* out) {
   out->reserve(n);
   for (uint64_t i = 0; i < n && ok_; ++i) out->push_back(GetDouble());
   return ok_;
+}
+
+bool BinaryReader::GetRowBatch(uint64_t max_rows, uint64_t max_dims,
+                               std::vector<std::vector<Value>>* out) {
+  const uint64_t rows = GetVarU64();
+  const uint64_t dims = GetVarU64();
+  if (!ok_ || rows > max_rows || dims > max_dims ||
+      (rows > 0 && (dims == 0 || dims > remaining() / rows))) {
+    ok_ = false;
+    return false;
+  }
+  std::vector<std::vector<Value>> batch(rows, std::vector<Value>(dims));
+  for (std::vector<Value>& row : batch) {
+    for (Value& v : row) v = GetVarI64();
+  }
+  if (!ok_) return false;
+  *out = std::move(batch);
+  return true;
 }
 
 const char* ToString(FileError error) {

@@ -1,18 +1,75 @@
-// Binary serialization substrate for index persistence (§8 "Persistence"):
-// a little-endian append-only writer, a bounds-checked reader, CRC-32
+// Binary serialization substrate for index persistence (§8 "Persistence"),
+// the WAL and the wire protocol: the fixed-width, varint and zigzag
+// primitives every byte layout is built from, a little-endian append-only
+// writer, a bounds-checked reader, the row-batch codec, CRC-32 and XxHash64
 // integrity checksums, and a framed file format with magic, version, and
 // payload checksum. No dependency above src/common.
 #ifndef TSUNAMI_IO_SERIALIZER_H_
 #define TSUNAMI_IO_SERIALIZER_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/types.h"
 
 namespace tsunami {
+
+// Every persisted and wire format is little-endian, and fixed-width values
+// are copied to and from bytes as they sit in memory; this is the one place
+// that assumption is made.
+static_assert(std::endian::native == std::endian::little,
+              "tsunami byte formats assume a little-endian host");
+
+// --- Primitives -------------------------------------------------------------
+// Raw-pointer encoders for code that lays bytes out itself (frame headers,
+// the hash's input reads); the writer and reader below are built on them.
+
+/// Stores `v` at `p` as sizeof(T) little-endian bytes. T is named
+/// explicitly at every call so a field's width never follows an argument's
+/// type by accident.
+template <typename T>
+inline void StoreFixed(char* p, std::type_identity_t<T> v) {
+  static_assert(std::is_unsigned_v<T>);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Loads sizeof(T) little-endian bytes at `p`.
+template <typename T>
+inline T LoadFixed(const char* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+/// Longest LEB128 varint of a uint64_t.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Writes `v` as a LEB128 varint at `p` (room for kMaxVarintBytes) and
+/// returns the byte after it.
+inline char* StoreVarint(char* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+/// Zigzag maps small magnitudes of either sign to small unsigned values, so
+/// their varints stay short.
+inline uint64_t ZigzagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+inline int64_t ZigzagDecode(uint64_t z) {
+  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `data`.
 uint32_t Crc32(std::string_view data);
@@ -43,21 +100,38 @@ class BinaryWriter {
  public:
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  void PutFixed32(uint32_t v);
-  void PutFixed64(uint64_t v);
-  void PutVarU64(uint64_t v);
-  void PutVarI64(int64_t v);  // Zigzag encoded.
-  void PutDouble(double v);
+  void PutFixed32(uint32_t v) { PutFixed<uint32_t>(v); }
+  void PutFixed64(uint64_t v) { PutFixed<uint64_t>(v); }
+  void PutVarU64(uint64_t v) {
+    char bytes[kMaxVarintBytes];
+    buffer_.append(bytes, StoreVarint(bytes, v) - bytes);
+  }
+  void PutVarI64(int64_t v) { PutVarU64(ZigzagEncode(v)); }
+  void PutDouble(double v) { PutFixed64(std::bit_cast<uint64_t>(v)); }
   void PutString(std::string_view s);
 
   void PutValueVec(const std::vector<Value>& values);
   void PutIntVec(const std::vector<int>& values);
   void PutDoubleVec(const std::vector<double>& values);
 
+  /// A batch of equal-width rows (the kInsert payload, and a WAL row-batch
+  /// record after its type and ordinal):
+  ///   varint rows | varint dims | rows x dims zigzag varints, row-major
+  /// `dims` is the first row's width (0 for an empty batch). Appends exactly
+  /// the encoded bytes, so a batch into an empty writer holds no slack.
+  void PutRowBatch(const std::vector<std::vector<Value>>& rows);
+
   const std::string& buffer() const { return buffer_; }
   std::string Release() { return std::move(buffer_); }
 
  private:
+  template <typename T>
+  void PutFixed(T v) {
+    char bytes[sizeof(T)];
+    StoreFixed<T>(bytes, v);
+    buffer_.append(bytes, sizeof(T));
+  }
+
   std::string buffer_;
 };
 
@@ -68,18 +142,29 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  uint8_t GetU8();
+  uint8_t GetU8() {
+    const char* p = Take(1);
+    return p != nullptr ? static_cast<uint8_t>(*p) : 0;
+  }
   bool GetBool() { return GetU8() != 0; }
-  uint32_t GetFixed32();
-  uint64_t GetFixed64();
+  uint32_t GetFixed32() { return GetFixed<uint32_t>(); }
+  uint64_t GetFixed64() { return GetFixed<uint64_t>(); }
   uint64_t GetVarU64();
-  int64_t GetVarI64();
-  double GetDouble();
+  int64_t GetVarI64() { return ZigzagDecode(GetVarU64()); }
+  double GetDouble() { return std::bit_cast<double>(GetFixed64()); }
   std::string GetString();
 
   bool GetValueVec(std::vector<Value>* out);
   bool GetIntVec(std::vector<int>* out);
   bool GetDoubleVec(std::vector<double>* out);
+
+  /// Reads a PutRowBatch batch. Fails (latching !ok()) on truncation, a row
+  /// or dim count above the caller's caps, rows with zero dims, or
+  /// rows x dims above the bytes left: every value takes at least one byte,
+  /// so a corrupt count is caught before it sizes an allocation. `*out` is
+  /// untouched on failure.
+  bool GetRowBatch(uint64_t max_rows, uint64_t max_dims,
+                   std::vector<std::vector<Value>>* out);
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -100,6 +185,24 @@ class BinaryReader {
   /// cannot trigger a huge allocation.
   static constexpr uint64_t kMaxElements = uint64_t{1} << 40;
 
+  /// The next `n` bytes, consumed; nullptr (latching !ok()) when fewer
+  /// remain or the stream already failed.
+  const char* Take(uint64_t n) {
+    if (!ok_ || n > remaining()) {
+      ok_ = false;
+      return nullptr;
+    }
+    const char* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  template <typename T>
+  T GetFixed() {
+    const char* p = Take(sizeof(T));
+    return p != nullptr ? LoadFixed<T>(p) : 0;
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
@@ -108,8 +211,7 @@ class BinaryReader {
 
 /// Framed file kinds (one per top-level object we persist).
 enum class FileKind : uint32_t {
-  kDataset = 1,
-  kWorkload = 2,
+  // Values 1 and 2 belonged to retired kinds; they stay unused.
   kTsunamiIndex = 3,
   /// The durability manifest (src/durability): checkpoint version, snapshot
   /// file, WAL replay cursor, and the live WAL segment range.

@@ -490,11 +490,14 @@ bool TsunamiServer::HandleInsert(Conn* c, const FrameHeader& header,
     return SendError(c, header.request_id, WireError::kDraining,
                      "server is draining");
   }
-  // The sink runs on the loop thread: appends are a few cache-line writes
-  // per row into an open delta chunk (never an index rebuild — compaction
-  // happens on the store's own background thread), so this costs less than
-  // a query decode. A sink that rejects the batch (wrong arity, store
-  // full) returns a negative count.
+  // The sink runs on the loop thread. An in-memory store appends a few
+  // cache-line writes per row into an open delta chunk (compaction runs on
+  // the store's own background thread). A durable store (--wal-dir without
+  // --no-durable-acks) blocks here until the WAL group commit covering the
+  // batch is fsync'd, so every connection waits out that fsync and any
+  // checkpoint stall behind it.
+  // A sink that rejects the batch (wrong arity, store full) returns a
+  // negative count.
   InsertAckPayload ack;
   const int64_t accepted = options_.insert_sink(rows, &ack.store_version);
   if (accepted < 0) {

@@ -1,7 +1,5 @@
 #include "src/net/wire.h"
 
-#include <cstring>
-
 #include "src/io/serializer.h"
 
 namespace tsunami {
@@ -16,41 +14,6 @@ namespace {
 constexpr uint64_t kMaxQueryFilters = 4096;
 constexpr uint64_t kMaxWireAggs = 4096;
 constexpr uint64_t kMaxErrorMessage = 4096;
-
-void PutLe16(uint16_t v, char* out) {
-  out[0] = static_cast<char>(v & 0xFF);
-  out[1] = static_cast<char>((v >> 8) & 0xFF);
-}
-
-void PutLe32(uint32_t v, char* out) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-void PutLe64(uint64_t v, char* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-uint16_t GetLe16(const char* p) {
-  return static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                               (static_cast<uint16_t>(static_cast<uint8_t>(p[1]))
-                                << 8));
-}
-
-uint32_t GetLe32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetLe64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -101,14 +64,14 @@ bool IsRetryable(WireError error) {
 void AppendFrame(const FrameHeader& header, std::string_view payload,
                  std::string* out) {
   char h[kFrameHeaderSize];
-  PutLe32(kFrameMagic, h);
-  PutLe16(header.version, h + 4);
+  StoreFixed<uint32_t>(h, kFrameMagic);
+  StoreFixed<uint16_t>(h + 4, header.version);
   h[6] = static_cast<char>(header.type);
   h[7] = static_cast<char>(header.flags);
-  PutLe64(header.request_id, h + 8);
-  PutLe32(static_cast<uint32_t>(payload.size()), h + 16);
-  PutLe32(static_cast<uint32_t>(header.priority), h + 20);
-  PutLe64(header.deadline_micros, h + 24);
+  StoreFixed<uint64_t>(h + 8, header.request_id);
+  StoreFixed<uint32_t>(h + 16, static_cast<uint32_t>(payload.size()));
+  StoreFixed<uint32_t>(h + 20, static_cast<uint32_t>(header.priority));
+  StoreFixed<uint64_t>(h + 24, header.deadline_micros);
   out->append(h, kFrameHeaderSize);
   out->append(payload.data(), payload.size());
 }
@@ -116,15 +79,15 @@ void AppendFrame(const FrameHeader& header, std::string_view payload,
 HeaderParse ParseFrameHeader(std::string_view buffer, FrameHeader* out) {
   if (buffer.size() < kFrameHeaderSize) return HeaderParse::kNeedMore;
   const char* p = buffer.data();
-  if (GetLe32(p) != kFrameMagic) return HeaderParse::kBadMagic;
-  out->version = GetLe16(p + 4);
+  if (LoadFixed<uint32_t>(p) != kFrameMagic) return HeaderParse::kBadMagic;
+  out->version = LoadFixed<uint16_t>(p + 4);
   if (out->version != kWireVersion) return HeaderParse::kBadVersion;
   out->type = static_cast<FrameType>(static_cast<uint8_t>(p[6]));
   out->flags = static_cast<uint8_t>(p[7]);
-  out->request_id = GetLe64(p + 8);
-  out->payload_len = GetLe32(p + 16);
-  out->priority = static_cast<int32_t>(GetLe32(p + 20));
-  out->deadline_micros = GetLe64(p + 24);
+  out->request_id = LoadFixed<uint64_t>(p + 8);
+  out->payload_len = LoadFixed<uint32_t>(p + 16);
+  out->priority = static_cast<int32_t>(LoadFixed<uint32_t>(p + 20));
+  out->deadline_micros = LoadFixed<uint64_t>(p + 24);
   return HeaderParse::kOk;
 }
 
@@ -243,35 +206,19 @@ bool DecodeErrorPayload(std::string_view payload, WireError* error,
 
 std::string EncodeInsertPayload(const std::vector<std::vector<Value>>& rows) {
   BinaryWriter w;
-  w.PutVarU64(rows.size());
-  const uint64_t dims = rows.empty() ? 0 : rows[0].size();
-  w.PutVarU64(dims);
-  for (const std::vector<Value>& row : rows) {
-    for (Value v : row) w.PutVarI64(v);
-  }
+  w.PutRowBatch(rows);
   return w.Release();
 }
 
 bool DecodeInsertPayload(std::string_view payload,
                          std::vector<std::vector<Value>>* out) {
+  // An empty batch is legal (a client-side flush with nothing buffered); a
+  // row with zero columns is not (GetRowBatch refuses it).
   BinaryReader r(payload);
-  const uint64_t num_rows = r.GetVarU64();
-  const uint64_t dims = r.GetVarU64();
-  if (!r.ok() || num_rows > static_cast<uint64_t>(kMaxInsertRows) ||
-      dims > static_cast<uint64_t>(kMaxInsertDims)) {
+  std::vector<std::vector<Value>> rows;
+  if (!r.GetRowBatch(kMaxInsertRows, kMaxInsertDims, &rows) || !r.AtEnd()) {
     return false;
   }
-  // An empty batch is legal (a client-side flush with nothing buffered); a
-  // row with zero columns is not.
-  if (num_rows > 0 && dims == 0) return false;
-  std::vector<std::vector<Value>> rows;
-  rows.reserve(num_rows);
-  for (uint64_t i = 0; i < num_rows && r.ok(); ++i) {
-    std::vector<Value> row(dims);
-    for (uint64_t d = 0; d < dims; ++d) row[d] = r.GetVarI64();
-    rows.push_back(std::move(row));
-  }
-  if (!r.ok() || !r.AtEnd()) return false;
   *out = std::move(rows);
   return true;
 }

@@ -155,8 +155,10 @@ bool DecodeErrorPayload(std::string_view payload, WireError* error,
                         std::string* message);
 
 /// Row batch for a kInsert frame: every row carries one Value per store
-/// dimension. Bounded (kMaxInsertRows / kMaxInsertDims) so a hostile count
-/// can never balloon the decode.
+/// dimension, in src/io's row-batch codec (BinaryWriter::PutRowBatch, the
+/// same bytes a WAL record logs). Bounded (kMaxInsertRows / kMaxInsertDims,
+/// and rows x dims by the payload's size) so a hostile count can never
+/// balloon the decode.
 inline constexpr int64_t kMaxInsertRows = 65536;
 inline constexpr int64_t kMaxInsertDims = 4096;
 

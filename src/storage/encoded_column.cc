@@ -41,8 +41,8 @@ void DecodeCodes(const T* codes, int64_t n, Value ref, Value* out) {
 
 template <typename T>
 void PutCodeArray(BinaryWriter* writer, const std::vector<T>& codes) {
-  // Raw little-endian payload (the writer's documented byte order); codes
-  // are already the compact representation, so no further transform.
+  // Raw little-endian payload (serializer.h asserts a little-endian host);
+  // codes are already the compact representation, so no further transform.
   writer->PutString(std::string_view(
       reinterpret_cast<const char*>(codes.data()), codes.size() * sizeof(T)));
 }

@@ -19,6 +19,7 @@
 #include "src/core/tsunami.h"
 #include "src/io/serializer.h"
 #include "src/storage/column_store.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -172,50 +173,70 @@ class FramedFileTest : public ::testing::Test {
 
 TEST_F(FramedFileTest, RoundTrip) {
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, "payload", &error))
+  ASSERT_TRUE(
+      WriteFramedFile(path_, FileKind::kTsunamiIndex, "payload", &error))
       << error;
   std::string payload;
-  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error))
+  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error))
       << error;
   EXPECT_EQ(payload, "payload");
+}
+
+TEST_F(FramedFileTest, GoldenHeaderBytes) {
+  std::string error;
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, "payload",
+                              &error))
+      << error;
+  std::ifstream in(path_, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(Hex(ss.str()),
+            "4d534e54"          // magic "TSNM"
+            "03000000"          // format version 3
+            "03000000"          // FileKind::kTsunamiIndex
+            "0700000000000000"  // payload length
+            "156a2c42"          // crc32("payload")
+            "7061796c6f6164");  // payload
 }
 
 TEST_F(FramedFileTest, MissingFile) {
   std::string payload, error;
   EXPECT_FALSE(ReadFramedFile(TempPath("does_not_exist.bin"),
-                              FileKind::kDataset, &payload, &error));
+                              FileKind::kTsunamiIndex, &payload, &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
 TEST_F(FramedFileTest, KindMismatch) {
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, "p", &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, "p", &error));
   std::string payload;
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error));
+      ReadFramedFile(path_, FileKind::kDurabilityManifest, &payload, &error));
   EXPECT_NE(error.find("kind"), std::string::npos);
 }
 
 TEST_F(FramedFileTest, BadMagic) {
   std::ofstream(path_, std::ios::binary) << "this is not a tsunami file!!";
   std::string payload, error;
-  EXPECT_FALSE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error));
+  EXPECT_FALSE(
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error));
   EXPECT_NE(error.find("magic"), std::string::npos);
 }
 
 TEST_F(FramedFileTest, TruncationDetected) {
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset,
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex,
                               std::string(1000, 'x'), &error));
   std::filesystem::resize_file(path_, 500);
   std::string payload;
-  EXPECT_FALSE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error));
+  EXPECT_FALSE(
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos);
 }
 
 TEST_F(FramedFileTest, BitFlipDetectedByChecksum) {
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset,
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex,
                               std::string(1000, 'x'), &error));
   {
     std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
@@ -223,7 +244,8 @@ TEST_F(FramedFileTest, BitFlipDetectedByChecksum) {
     f.put('y');
   }
   std::string payload;
-  EXPECT_FALSE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error));
+  EXPECT_FALSE(
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error));
   EXPECT_NE(error.find("checksum"), std::string::npos);
 }
 
@@ -233,7 +255,7 @@ TEST_F(FramedFileTest, TruncationAtEveryByteIsTypedAndLoadsNothing) {
   // crash and no partial payload escaping to the caller.
   const std::string body = "framed-truncation-sweep-payload";
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, body, &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, body, &error));
   std::string whole;
   {
     std::ifstream in(path_, std::ios::binary);
@@ -249,7 +271,7 @@ TEST_F(FramedFileTest, TruncationAtEveryByteIsTypedAndLoadsNothing) {
     FileError code = FileError::kNone;
     error.clear();
     EXPECT_FALSE(
-        ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code))
+        ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code))
         << "cut at " << cut;
     EXPECT_EQ(code, FileError::kTruncated) << "cut at " << cut << ": " << error;
     EXPECT_EQ(payload, "sentinel") << "partial load at cut " << cut;
@@ -265,7 +287,7 @@ TEST_F(FramedFileTest, ShortReadFaultSweepAcrossSectionBoundaries) {
   // each.
   const std::string body(257, 'z');
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, body, &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, body, &error));
   constexpr int64_t kHeaderSize = 4 + 4 + 4 + 8 + 4;
   const int64_t total = kHeaderSize + static_cast<int64_t>(body.size());
   std::vector<int64_t> cuts;
@@ -284,7 +306,7 @@ TEST_F(FramedFileTest, ShortReadFaultSweepAcrossSectionBoundaries) {
     FileError code = FileError::kNone;
     error.clear();
     EXPECT_FALSE(
-        ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code))
+        ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code))
         << "cut at " << cut;
     EXPECT_EQ(code, FileError::kTruncated) << "cut at " << cut << ": " << error;
     EXPECT_EQ(payload, "sentinel") << "partial load at cut " << cut;
@@ -294,14 +316,15 @@ TEST_F(FramedFileTest, ShortReadFaultSweepAcrossSectionBoundaries) {
   std::string payload = "sentinel";
   FileError code = FileError::kNone;
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code));
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code));
   EXPECT_EQ(code, FileError::kTruncated);
   EXPECT_EQ(payload, "sentinel");
   fault::DisarmAll();
 
   // Disarmed, the very same file loads bit-exactly.
   std::string ok_payload;
-  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kDataset, &ok_payload, &error));
+  ASSERT_TRUE(
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &ok_payload, &error));
   EXPECT_EQ(ok_payload, body);
 }
 #endif  // TSUNAMI_FAULT_INJECTION
@@ -318,33 +341,131 @@ TEST(SerializerTest, XxHash64KnownVectorsAndSeeding) {
   EXPECT_NE(XxHash64(long_input), XxHash64(long_input.substr(0, 999)));
 }
 
+// --- Golden bytes --------------------------------------------------------
+// Every persisted and wire format is built from these primitives, so their
+// exact bytes are pinned here (round-trip tests alone would pass a change
+// made the same way on both sides).
+
+TEST(SerializerTest, GoldenBinaryWriterBytes) {
+  BinaryWriter w;
+  w.PutVarI64(0);
+  w.PutVarI64(127);
+  w.PutVarI64(128);
+  w.PutVarI64(-1);
+  w.PutVarI64(std::numeric_limits<int64_t>::min());
+  w.PutVarI64(std::numeric_limits<int64_t>::max());
+  w.PutVarU64(0);
+  w.PutVarU64(127);
+  w.PutVarU64(128);
+  w.PutVarU64(std::numeric_limits<uint64_t>::max());
+  w.PutFixed32(0x01020304u);
+  w.PutFixed64(0x0102030405060708ull);
+  w.PutDouble(1.5);
+  w.PutString("hi");
+  w.PutU8(0xAB);
+  w.PutBool(true);
+  EXPECT_EQ(Hex(w.buffer()),
+            "00"                    // zigzag 0
+            "fe01"                  // zigzag 127
+            "8002"                  // zigzag 128
+            "01"                    // zigzag -1
+            "ffffffffffffffffff01"  // zigzag INT64_MIN
+            "feffffffffffffffff01"  // zigzag INT64_MAX
+            "00"                    // varint 0
+            "7f"                    // varint 127
+            "8001"                  // varint 128
+            "ffffffffffffffffff01"  // varint UINT64_MAX
+            "04030201"              // fixed32
+            "0807060504030201"      // fixed64
+            "000000000000f83f"      // double 1.5
+            "026869"                // string "hi"
+            "ab"                    // u8
+            "01");                  // bool
+
+  BinaryReader r(w.buffer());
+  EXPECT_EQ(r.GetVarI64(), 0);
+  EXPECT_EQ(r.GetVarI64(), 127);
+  EXPECT_EQ(r.GetVarI64(), 128);
+  EXPECT_EQ(r.GetVarI64(), -1);
+  EXPECT_EQ(r.GetVarI64(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(r.GetVarI64(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(r.GetVarU64(), 0u);
+  EXPECT_EQ(r.GetVarU64(), 127u);
+  EXPECT_EQ(r.GetVarU64(), 128u);
+  EXPECT_EQ(r.GetVarU64(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(r.GetFixed32(), 0x01020304u);
+  EXPECT_EQ(r.GetFixed64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.GetDouble(), 1.5);
+  EXPECT_EQ(r.GetString(), "hi");
+  EXPECT_EQ(r.GetU8(), 0xAB);
+  EXPECT_TRUE(r.GetBool());
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerializerTest, RowBatchRejectsCountsTheBytesCannotHold) {
+  const std::vector<std::vector<Value>> sentinel = {{42}};
+  auto decode = [&](std::string_view bytes, uint64_t max_rows,
+                    uint64_t max_dims) {
+    std::vector<std::vector<Value>> out = sentinel;
+    BinaryReader r(bytes);
+    const bool ok = r.GetRowBatch(max_rows, max_dims, &out);
+    EXPECT_EQ(ok, r.ok());
+    if (!ok) {
+      EXPECT_EQ(out, sentinel);  // Untouched on failure.
+    }
+    return ok;
+  };
+  BinaryWriter w;
+  w.PutRowBatch({{1, -2}, {3, 4}});
+  EXPECT_TRUE(decode(w.buffer(), 2, 2));
+  EXPECT_FALSE(decode(w.buffer(), 1, 2));  // Row cap.
+  EXPECT_FALSE(decode(w.buffer(), 2, 1));  // Dim cap.
+  // 1000 x 1000 is within the caps, but six bytes cannot hold a million
+  // values: refused before anything is sized from the counts.
+  EXPECT_FALSE(decode(std::string("\xe8\x07\xe8\x07\x02\x04", 6), 1 << 20,
+                      1 << 20));
+  EXPECT_FALSE(decode(std::string("\x01\x00", 2), 8, 8));  // Zero dims.
+  EXPECT_TRUE(decode(std::string("\x00\x00", 2), 8, 8));   // Empty batch.
+}
+
+TEST(SerializerTest, GoldenXxHash64AcrossEveryTailPath) {
+  // 47 bytes: one 32-byte stripe, then an 8-byte, a 4-byte and three
+  // 1-byte tail steps, so every fixed-width read in the hash is covered.
+  std::string input;
+  for (int i = 0; i < 47; ++i) input.push_back(static_cast<char>(i * 37));
+  EXPECT_EQ(XxHash64(input), 0x46BE87DA448ADF5Full);
+  EXPECT_EQ(XxHash64(input, 0x57414C21), 0x1EF0F2ED4E089F5Eull);
+}
+
 TEST_F(FramedFileTest, TypedErrorCodesReportWhy) {
   std::string payload, error;
   FileError code = FileError::kNone;
 
   EXPECT_FALSE(ReadFramedFile(TempPath("io_test_absent.bin"),
-                              FileKind::kDataset, &payload, &error, &code));
+                              FileKind::kTsunamiIndex, &payload, &error,
+                              &code));
   EXPECT_EQ(code, FileError::kIoError);
 
   std::ofstream(path_, std::ios::binary)
       << "garbage garbage garbage garbage!";
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code));
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code));
   EXPECT_EQ(code, FileError::kBadMagic);
 
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, "p", &error));
-  EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kWorkload, &payload, &error, &code));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, "p", &error));
+  EXPECT_FALSE(ReadFramedFile(path_, FileKind::kDurabilityManifest, &payload,
+                              &error, &code));
   EXPECT_EQ(code, FileError::kBadKind);
 
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset,
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex,
                               std::string(400, 'x'), &error));
   std::filesystem::resize_file(path_, 100);
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code));
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code));
   EXPECT_EQ(code, FileError::kTruncated);
 
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset,
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex,
                               std::string(400, 'x'), &error));
   {
     std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
@@ -352,13 +473,13 @@ TEST_F(FramedFileTest, TypedErrorCodesReportWhy) {
     f.put('y');
   }
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code));
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code));
   EXPECT_EQ(code, FileError::kChecksumMismatch);
 
   // Success resets the code and surfaces the file's version.
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, "ok", &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, "ok", &error));
   uint32_t version = 0;
-  EXPECT_TRUE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error,
+  EXPECT_TRUE(ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error,
                              &code, &version));
   EXPECT_EQ(code, FileError::kNone);
   EXPECT_EQ(version, kTsunamiFormatVersion);
@@ -378,12 +499,12 @@ void PatchFileVersion(const std::string& path, uint32_t version) {
 
 TEST_F(FramedFileTest, VersionOneRejectedWithTypedCode) {
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, "old", &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kTsunamiIndex, "old", &error));
   PatchFileVersion(path_, 1);
   std::string payload;
   FileError code = FileError::kNone;
   EXPECT_FALSE(
-      ReadFramedFile(path_, FileKind::kDataset, &payload, &error, &code));
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error, &code));
   EXPECT_EQ(code, FileError::kBadVersion);
   EXPECT_NE(error.find("version"), std::string::npos);
 }
@@ -405,12 +526,13 @@ TEST_F(FramedFileTest, VersionTwoColumnPayloadStillReads) {
       writer.buffer().substr(0, writer.buffer().size() - tail);
 
   std::string error;
-  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDataset, v2_payload, &error));
+  ASSERT_TRUE(
+      WriteFramedFile(path_, FileKind::kTsunamiIndex, v2_payload, &error));
   PatchFileVersion(path_, 2);
   std::string payload;
   FileError code = FileError::kNone;
   uint32_t version = 0;
-  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kDataset, &payload, &error,
+  ASSERT_TRUE(ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error,
                              &code, &version))
       << error;
   ASSERT_EQ(version, 2u);
@@ -711,8 +833,8 @@ TEST_F(SnapshotTest, TruncatedSnapshotRejected) {
 
 TEST_F(SnapshotTest, WrongKindRejected) {
   std::string error;
-  ASSERT_TRUE(
-      WriteFramedFile(path_, FileKind::kWorkload, "not an index", &error));
+  ASSERT_TRUE(WriteFramedFile(path_, FileKind::kDurabilityManifest,
+                              "not an index", &error));
   EXPECT_EQ(TsunamiIndex::LoadFromFile(path_, &error), nullptr);
   EXPECT_NE(error.find("kind"), std::string::npos);
 }

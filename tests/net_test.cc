@@ -76,6 +76,80 @@ TEST(WireCodec, FrameHeaderRoundTrip) {
             HeaderParse::kBadVersion);
 }
 
+TEST(WireCodec, GoldenFrameHeaderBytes) {
+  FrameHeader in;
+  in.type = FrameType::kQuery;
+  in.request_id = 0x1122334455667788ULL;
+  in.priority = -7;
+  in.deadline_micros = 1500000;
+  std::string buf;
+  net::AppendFrame(in, "payload", &buf);
+  EXPECT_EQ(Hex(buf),
+            "54534e46"           // magic "TSNF"
+            "0100"               // version
+            "01"                 // type kQuery
+            "00"                 // flags
+            "8877665544332211"   // request_id
+            "07000000"           // payload_len
+            "f9ffffff"           // priority -7
+            "60e3160000000000"   // deadline_micros 1500000
+            "7061796c6f6164");   // payload
+}
+
+TEST(WireCodec, GoldenPayloadBytes) {
+  Query q;
+  q.filters.push_back(Predicate{1, -5, 300});
+  q.SetAggregates({{AggKind::kSum, 3}});
+  q.type = 2;
+  EXPECT_EQ(Hex(net::EncodeQueryPayload(q)),
+            "01"        // one filter
+            "02"        // dim 1
+            "09"        // lo -5
+            "d804"      // hi 300
+            "01"        // one aggregate
+            "0106"      // kSum over column 3
+            "04");      // type 2
+
+  net::ResultPayload result;
+  result.outcome = QueryOutcome::kShed;
+  result.server_latency_seconds = 0.25;
+  result.result.agg = -42;
+  result.result.scanned = 1000;
+  result.result.matched = 17;
+  result.result.cell_ranges = 3;
+  result.result.degraded = true;
+  result.result.quarantined_blocks = 2;
+  result.result.extra = {7, -9};
+  EXPECT_EQ(Hex(net::EncodeResultPayload(result)),
+            "03"                // kShed
+            "000000000000d03f"  // latency 0.25 s
+            "53"                // agg -42
+            "d00f"              // scanned 1000
+            "22"                // matched 17
+            "06"                // cell_ranges 3
+            "01"                // degraded
+            "04"                // quarantined_blocks 2
+            "02"                // two extra aggregates
+            "0e11");            // 7, -9
+
+  EXPECT_EQ(Hex(net::EncodeInsertPayload(
+                {{1, -2, 300000}, {4, 5, 6}, {-7, 8, 9}})),
+            "03"            // rows
+            "03"            // dims
+            "0203c0cf24"    // 1, -2, 300000
+            "080a0c"        // 4, 5, 6
+            "0d1012");      // -7, 8, 9
+  EXPECT_EQ(Hex(net::EncodeInsertPayload({})), "0000");  // rows 0, dims 0
+
+  EXPECT_EQ(Hex(net::EncodeInsertAckPayload({12345, 42})),
+            "f2c001"   // accepted 12345
+            "2a");     // store_version 42
+
+  EXPECT_EQ(Hex(net::EncodeErrorPayload(WireError::kQueueFull, "try later")),
+            "05"                      // kQueueFull
+            "09747279206c61746572");  // "try later"
+}
+
 TEST(WireCodec, QueryPayloadRoundTrip) {
   Query q;
   q.filters.push_back(Predicate{0, -100, 100});

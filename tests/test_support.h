@@ -1,6 +1,7 @@
-// Helpers shared by the test suites: the scan-tier sweep, every index of
-// the library built over one table, a grid's plan-then-scan execution, a
-// scheduler jam that keeps submitted work queued on purpose, an ingesting store whose delta spans both chunk forms
+// Helpers shared by the test suites: hex dumps for golden-byte tests, the
+// scan-tier sweep, every index of the library built over one table, a
+// grid's plan-then-scan execution, a scheduler jam that keeps submitted work
+// queued on purpose, an ingesting store whose delta spans both chunk forms
 // (sealed + open) for the executor-epilogue tests, and a wrapper that
 // records the scan options an epilogue received.
 #ifndef TSUNAMI_TESTS_TEST_SUPPORT_H_
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,6 +38,19 @@
 #include "src/storage/simd_dispatch.h"
 
 namespace tsunami {
+
+/// Lower-case hex of `bytes`, two digits per byte. The golden-byte codec
+/// tests compare encoder output against literal hex strings with it.
+inline std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return out;
+}
 
 /// The scan tiers every tier sweep covers: the default (kAuto), the
 /// row-at-a-time reference, the portable block kernel, and each SIMD tier

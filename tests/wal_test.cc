@@ -28,6 +28,7 @@
 #include "src/durability/wal.h"
 #include "src/ingest/ingest_store.h"
 #include "src/io/serializer.h"
+#include "tests/test_support.h"
 
 namespace tsunami {
 namespace {
@@ -35,7 +36,6 @@ namespace {
 using durability::DurabilityOptions;
 using durability::DurableIngestStore;
 using durability::EncodeRowBatchRecord;
-using durability::EncodeWalRecord;
 using durability::ReadWalSegment;
 using durability::WalRecord;
 using durability::WalRecordType;
@@ -165,11 +165,18 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   WalRecord record;
   record.first_ordinal = 41;
   record.rows = {{7, -100}, {0, 0}, {99999, 1000000007}};
-  const std::string frame = EncodeWalRecord(record);
-  ASSERT_GT(frame.size(), durability::kWalFrameHeaderSize);
-
-  // The no-copy hot-path encoder frames identically.
-  EXPECT_EQ(EncodeRowBatchRecord(41, record.rows), frame);
+  const std::string frame = EncodeRowBatchRecord(41, record.rows);
+  // Golden bytes: the on-disk layout is pinned, not just self-consistent.
+  EXPECT_EQ(Hex(frame),
+            "11000000"            // body_len 17
+            "0f43ff4d4009bed5"    // XxHash64(body, "WAL!")
+            "01"                  // WalRecordType::kRowBatch
+            "52"                  // first_ordinal 41
+            "03"                  // rows
+            "02"                  // dims
+            "0ec701"              // 7, -100
+            "0000"                // 0, 0
+            "be9a0c8ea8d6b907");  // 99999, 1000000007
 
   WalRecord got;
   size_t offset = 0;
@@ -178,7 +185,6 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(offset, frame.size());
   EXPECT_EQ(got.type, WalRecordType::kRowBatch);
   EXPECT_EQ(got.first_ordinal, 41);
-  EXPECT_EQ(got.dims, 2);
   EXPECT_EQ(got.rows, record.rows);
 }
 
